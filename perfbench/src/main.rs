@@ -176,6 +176,31 @@ fn report(w: Workload, r: &WorkloadResult) {
     }
 }
 
+/// With both replay workloads traced in one invocation, prints each
+/// query's `run_partitioned` ÷ `run` throughput: the executor overhead
+/// per query.
+fn parallel_ratios(results: &[(Workload, WorkloadResult)]) {
+    let eps = |w: Workload| -> Option<Vec<(String, f64)>> {
+        let (_, r) = results.iter().find(|(x, _)| *x == w)?;
+        Some(
+            r.metrics
+                .iter()
+                .filter(|(n, _, _)| n.starts_with("query.") && n.ends_with(".eps"))
+                .map(|(n, v, _)| (n.clone(), *v))
+                .collect(),
+        )
+    };
+    let (Some(local), Some(parallel)) = (eps(Workload::ReplayLocal), eps(Workload::ReplayParallel))
+    else {
+        return;
+    };
+    for ((name, l), (_, p)) in local.iter().zip(&parallel) {
+        if *l > 0.0 {
+            println!("  {name} replay-parallel / replay-local {:>8.3}", p / l);
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -210,6 +235,7 @@ fn main() -> ExitCode {
         }
         results.push((w, r));
     }
+    parallel_ratios(&results);
     let correct = results.iter().all(|(_, r)| r.correct);
     let attempted = results.iter().map(|(_, r)| r.attempted).sum();
     let failed = results.iter().map(|(_, r)| r.failed).sum();
