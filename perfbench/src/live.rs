@@ -3,10 +3,10 @@
 //!
 //! The fleet produces one record per train per sensor tick. A
 //! [`TickSource`] hands those ticks to the program either as fast as it
-//! polls (closed loop) or on a fixed schedule (open loop). The shared
-//! [`Timeline`] remembers when each tick was due, so the [`ResultSink`]
-//! can time every result from the due time of the event whose `ts` it
-//! carries.
+//! polls (closed loop) or on a fixed schedule (open loop). On a paced
+//! run the shared [`Timeline`] knows when each tick was due, so the
+//! [`ResultSink`] can time every result from the due time of the event
+//! whose `ts` it carries.
 
 use nebula::prelude::{
     record_sort_key, Record, RecordBuffer, Result, SchemaRef, Sink, Source, SourceBatch,
@@ -20,13 +20,11 @@ use std::time::{Duration, Instant};
 ///
 /// Paced (open loop): tick `k` is due `k × interval` after the first
 /// poll, whether or not the source keeps up, so a stall is charged to
-/// every later event. Closed loop: a tick is due when the source hands
-/// it out.
+/// every later event. Closed loop: ticks have no due time and results
+/// are not timed.
 pub struct Timeline {
     origin: OnceLock<Instant>,
     interval: Option<Duration>,
-    /// Closed loop: release time of tick `k`, ns since the origin.
-    released_ns: Mutex<Vec<u64>>,
     /// Paced: per released tick, how late reading ran, ns.
     lags_ns: Mutex<Vec<u64>>,
     /// Paced: time polls spent waiting for the schedule, ns.
@@ -48,7 +46,6 @@ impl Timeline {
         Timeline {
             origin: OnceLock::new(),
             interval,
-            released_ns: Mutex::new(Vec::new()),
             lags_ns: Mutex::new(Vec::new()),
             waited_ns: AtomicU64::new(0),
         }
@@ -59,12 +56,9 @@ impl Timeline {
         *self.origin.get_or_init(Instant::now)
     }
 
-    /// Due time of tick `k` in ns since the origin, if it is known yet.
-    fn due_ns(&self, k: usize, released: &[u64]) -> Option<u64> {
-        match self.interval {
-            Some(iv) => Some(iv.as_nanos() as u64 * k as u64),
-            None => released.get(k).copied(),
-        }
+    /// Paced: due time of tick `k` in ns since the origin.
+    fn due_ns(&self, k: usize) -> Option<u64> {
+        self.interval.map(|iv| iv.as_nanos() as u64 * k as u64)
     }
 
     /// Time the paced source spent waiting for due times, ms: part of
@@ -112,22 +106,19 @@ impl TickSource {
         }
     }
 
-    /// Hands out `n` records at `now`, recording tick releases.
-    fn release(&mut self, n: usize, now: Instant) -> Vec<Record> {
-        let origin = self.timeline.origin();
-        let now_ns = now.saturating_duration_since(origin).as_nanos() as u64;
-        let first = self.released / self.per_tick;
-        let last = (self.released + n - 1) / self.per_tick;
-        let mut released = self.timeline.released_ns.lock().expect("timeline poisoned");
-        let mut lags = self.timeline.lags_ns.lock().expect("timeline poisoned");
-        for k in first..=last {
-            if k < released.len() {
-                continue; // a tick split across polls is released once
+    /// Hands out `n` records; paced, also records how late each newly
+    /// released tick ran behind its due time.
+    fn release(&mut self, n: usize) -> Vec<Record> {
+        if self.timeline.interval.is_some() {
+            let now_ns = self.timeline.origin().elapsed().as_nanos() as u64;
+            // A tick split across polls counts from its first part.
+            let first = self.released.div_ceil(self.per_tick);
+            let last = (self.released + n - 1) / self.per_tick;
+            let mut lags = self.timeline.lags_ns.lock().expect("timeline poisoned");
+            for k in first..=last {
+                let due = self.timeline.due_ns(k).unwrap_or(0);
+                lags.push(now_ns.saturating_sub(due));
             }
-            if let Some(iv) = self.timeline.interval {
-                lags.push(now_ns.saturating_sub(iv.as_nanos() as u64 * k as u64));
-            }
-            released.push(now_ns);
         }
         self.released += n;
         self.pending.drain(..n).collect()
@@ -147,10 +138,10 @@ impl Source for TickSource {
         if self.pending.is_empty() {
             return Ok(SourceBatch::Exhausted);
         }
-        let origin = self.timeline.origin();
         let n = match self.timeline.interval {
             None => max.max(1),
             Some(iv) => {
+                let origin = self.timeline.origin();
                 let next = self.released / self.per_tick;
                 let due = origin + iv * next as u32;
                 let now = Instant::now();
@@ -165,7 +156,7 @@ impl Source for TickSource {
             }
         };
         let n = n.min(self.pending.len());
-        Ok(SourceBatch::Data(self.release(n, Instant::now())))
+        Ok(SourceBatch::Data(self.release(n)))
     }
 }
 
@@ -270,23 +261,27 @@ impl ResultSink {
 }
 
 impl Sink for ResultSink {
+    /// Digests every result; paced, also times each one from the due
+    /// time of the event it carries. Closed-loop results are not timed.
     fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
         let now = Instant::now();
         self.first_delivery.get_or_insert(now);
         self.buffers += 1;
+        buf.records().iter().for_each(|rec| self.digest.add(rec));
+        if self.timeline.interval.is_none() {
+            return Ok(());
+        }
         let carried = self.carried(buf);
         let now_ns = now
             .saturating_duration_since(self.timeline.origin())
             .as_nanos() as u64;
-        let released = self.timeline.released_ns.lock().expect("timeline poisoned");
         for rec in buf.records() {
-            self.digest.add(rec);
             let ts = match carried {
                 Carried::Ts(i) => rec.get(i).and_then(|v| v.as_timestamp()),
                 Carried::WindowEnd(i) => rec.get(i).and_then(|v| v.as_timestamp()).map(|t| t - 1),
                 Carried::Unknown => None,
             };
-            let due = ts.and_then(|t| self.timeline.due_ns(self.clock.tick_of(t), &released));
+            let due = ts.and_then(|t| self.timeline.due_ns(self.clock.tick_of(t)));
             if let Some(due) = due {
                 self.latencies_ns.push(now_ns.saturating_sub(due));
             }
@@ -430,26 +425,6 @@ mod tests {
         let w = wsink.latencies_ns[0] as f64 / 1e6;
         assert!((80.0..130.0).contains(&w), "window latency {w}");
         assert_eq!(before, 8);
-    }
-
-    #[test]
-    fn closed_loop_due_time_is_release_time() {
-        let tl = Timeline::closed();
-        let mut src = TickSource::new(schema(), ticks(6), PER_TICK, tl.clone());
-        let mut sink = ResultSink::new(tl.clone(), clock(6));
-        // Five records: ticks 0–1 whole, tick 2 split across polls.
-        let first = match src.poll(5).unwrap() {
-            SourceBatch::Data(r) => r,
-            _ => unreachable!(),
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        let rest = drain(&mut src);
-        assert_eq!(first.len() + rest.len(), 12);
-        sink.consume(&RecordBuffer::new(schema(), rest)).unwrap();
-        // The second half of tick 2 was due at the first poll.
-        assert!(sink.latencies_ns[0] >= 20_000_000);
-        assert!(sink.latencies_ns.last().unwrap() < &20_000_000);
-        assert!(tl.lags_ms().is_empty());
     }
 
     #[test]

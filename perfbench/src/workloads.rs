@@ -301,6 +301,9 @@ impl Bench {
         let mut setups = Vec::new();
         let mut fleet = None;
         for _ in 0..SETUP_ROUNDS {
+            // Each round starts from nothing: the previous round's fleet
+            // is gone before the next one is generated.
+            drop(fleet.take());
             let run = tracer.new_run();
             let (f, g) = tracer.time("sncb.generate", None, run, || {
                 Fleet::generate(settings.seed, workload.hours())
@@ -491,6 +494,9 @@ impl Bench {
     pub fn measure(&self) -> WorkloadResult {
         let specs = self.workload.runs(self.settings.parallelism);
         let budget = Duration::from_secs(self.settings.seconds);
+        // Peak memory covers this workload's query runs only, not set-up
+        // or a workload run before it in the same process.
+        let hwm_reset = reset_peak_rss();
         let began = Instant::now();
         let mut plain: Vec<RepSummary> = Vec::new();
         let mut layered: Vec<BTreeMap<String, f64>> = Vec::new();
@@ -520,6 +526,7 @@ impl Bench {
             }
         }
 
+        let peak_rss = peak_rss_mb();
         let failures = self.check(&specs, &checks);
         let attempted = checks.len() as u64;
         let failed = failures.len() as u64;
@@ -534,7 +541,7 @@ impl Bench {
             med(&|r| r.throughput_eps),
             med(&|r| r.latency_p50_ms),
             median(&setup_rounds),
-            peak_rss_mb(),
+            peak_rss,
         ];
         let metrics: Vec<(String, f64, &'static str)> = END_TO_END
             .iter()
@@ -548,6 +555,7 @@ impl Bench {
                 json!(plain.iter().map(|r| r.throughput_eps).collect::<Vec<_>>()),
             ),
             ("setup_s_per_round".into(), json!(setup_rounds)),
+            ("peak_rss_reset_before_runs".into(), json!(hwm_reset)),
             ("events_per_query_run".into(), json!(self.events())),
             ("query_runs_per_repetition".into(), json!(specs.len())),
             (
@@ -1076,6 +1084,13 @@ pub fn layer_unit(name: &str) -> &'static str {
         .iter()
         .find(|(s, _)| name.ends_with(s))
         .map_or("count", |(_, u)| u)
+}
+
+/// Resets this process's peak resident set (`VmHWM`) to its current
+/// resident set. Returns whether the kernel accepted the reset; if not,
+/// [`peak_rss_mb`] keeps counting from process start.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Peak resident set of this process (`VmHWM`), MB.
