@@ -240,6 +240,7 @@ struct RepSummary {
     latency_p999_ms: f64,
     latency_max_ms: f64,
     latency_samples: f64,
+    peak_rss_mb: f64,
     faulted_throughput_eps: Option<f64>,
     edge_uplink_bpe: Option<f64>,
     cloud_uplink_bpe: Option<f64>,
@@ -494,9 +495,7 @@ impl Bench {
     pub fn measure(&self) -> WorkloadResult {
         let specs = self.workload.runs(self.settings.parallelism);
         let budget = Duration::from_secs(self.settings.seconds);
-        // Peak memory covers this workload's query runs only, not set-up
-        // or a workload run before it in the same process.
-        let hwm_reset = reset_peak_rss();
+        let mut hwm_reset = true;
         let began = Instant::now();
         let mut plain: Vec<RepSummary> = Vec::new();
         let mut layered: Vec<BTreeMap<String, f64>> = Vec::new();
@@ -506,11 +505,15 @@ impl Bench {
         let mut last_rep = Duration::ZERO;
         loop {
             let traced = self.settings.trace && plain.len() > layered.len();
+            // Peak memory covers one repetition's query runs only, not
+            // set-up, another repetition or a workload run before this one.
+            hwm_reset &= reset_peak_rss();
             let rep_start = Instant::now();
             let outcomes: Vec<Outcome> = specs.iter().map(|&s| self.execute(s, traced)).collect();
             last_rep = last_rep.max(rep_start.elapsed());
+            let peak_rss = peak_rss_mb();
             checks.extend(outcomes.iter().map(|o| (o.spec, o.error.clone(), o.digest)));
-            let summary = summarize(&outcomes);
+            let summary = summarize(&outcomes, peak_rss);
             if traced {
                 traced_eps.push(summary.throughput_eps);
                 let spans = self.tracer.spans();
@@ -526,7 +529,6 @@ impl Bench {
             }
         }
 
-        let peak_rss = peak_rss_mb();
         let failures = self.check(&specs, &checks);
         let attempted = checks.len() as u64;
         let failed = failures.len() as u64;
@@ -541,7 +543,7 @@ impl Bench {
             med(&|r| r.throughput_eps),
             med(&|r| r.latency_p50_ms),
             median(&setup_rounds),
-            peak_rss,
+            med(&|r| r.peak_rss_mb),
         ];
         let metrics: Vec<(String, f64, &'static str)> = END_TO_END
             .iter()
@@ -555,7 +557,7 @@ impl Bench {
                 json!(plain.iter().map(|r| r.throughput_eps).collect::<Vec<_>>()),
             ),
             ("setup_s_per_round".into(), json!(setup_rounds)),
-            ("peak_rss_reset_before_runs".into(), json!(hwm_reset)),
+            ("peak_rss_reset_before_repetitions".into(), json!(hwm_reset)),
             ("events_per_query_run".into(), json!(self.events())),
             ("query_runs_per_repetition".into(), json!(specs.len())),
             (
@@ -906,8 +908,9 @@ fn is_stateful(op_id: &str) -> bool {
     op_id.ends_with("window") || op_id.ends_with("cep")
 }
 
-/// Folds one repetition into its end-to-end figures.
-fn summarize(outcomes: &[Outcome]) -> RepSummary {
+/// Folds one repetition, which peaked at `peak_rss_mb`, into its
+/// end-to-end figures.
+fn summarize(outcomes: &[Outcome], peak_rss_mb: f64) -> RepSummary {
     let eps = |f: &dyn Fn(&Outcome) -> bool| {
         let (n, s) = outcomes
             .iter()
@@ -936,6 +939,7 @@ fn summarize(outcomes: &[Outcome]) -> RepSummary {
         latency_p999_ms: percentile_sorted(&lat, 99.9),
         latency_max_ms: lat.last().copied().unwrap_or(0.0),
         latency_samples: lat.len() as f64,
+        peak_rss_mb,
         faulted_throughput_eps: eps(&|o| !o.fault_free()),
         edge_uplink_bpe: uplink(PlacementStrategy::EdgeFirst),
         cloud_uplink_bpe: uplink(PlacementStrategy::CloudOnly),
