@@ -505,8 +505,10 @@ impl Bench {
         let mut last_rep = Duration::ZERO;
         loop {
             let traced = self.settings.trace && plain.len() > layered.len();
-            // Peak memory covers one repetition's query runs only, not
-            // set-up, another repetition or a workload run before this one.
+            // Peak memory covers one repetition's query runs, not set-up
+            // or another repetition. The reset starts from the current
+            // resident set, which still holds what the allocator kept
+            // from anything run before.
             hwm_reset &= reset_peak_rss();
             let rep_start = Instant::now();
             let outcomes: Vec<Outcome> = specs.iter().map(|&s| self.execute(s, traced)).collect();
