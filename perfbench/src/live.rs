@@ -25,6 +25,9 @@ use std::time::{Duration, Instant};
 pub struct Timeline {
     origin: OnceLock<Instant>,
     interval: Option<Duration>,
+    /// Paced: how long before each due time the source stops sleeping
+    /// and spins; zero sleeps all the way.
+    spin: Duration,
     /// Paced: per released tick, how late reading ran, ns.
     lags_ns: Mutex<Vec<u64>>,
     /// Paced: time polls spent waiting for the schedule, ns.
@@ -32,20 +35,23 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// A timeline releasing one tick every `interval`.
-    pub fn paced(interval: Duration) -> Arc<Timeline> {
-        Arc::new(Timeline::new(Some(interval)))
+    /// A timeline releasing one tick every `interval`. The source
+    /// sleeps until `spin` before each due time and spins the rest, so
+    /// a wake-up up to `spin` late does not make it release late.
+    pub fn paced(interval: Duration, spin: Duration) -> Arc<Timeline> {
+        Arc::new(Timeline::new(Some(interval), spin))
     }
 
     /// A timeline releasing ticks as fast as they are polled.
     pub fn closed() -> Arc<Timeline> {
-        Arc::new(Timeline::new(None))
+        Arc::new(Timeline::new(None, Duration::ZERO))
     }
 
-    fn new(interval: Option<Duration>) -> Timeline {
+    fn new(interval: Option<Duration>, spin: Duration) -> Timeline {
         Timeline {
             origin: OnceLock::new(),
             interval,
+            spin,
             lags_ns: Mutex::new(Vec::new()),
             waited_ns: AtomicU64::new(0),
         }
@@ -146,7 +152,12 @@ impl Source for TickSource {
                 let due = origin + iv * next as u32;
                 let now = Instant::now();
                 if now < due {
-                    std::thread::sleep(due - now);
+                    if let Some(nap) = (due - now).checked_sub(self.timeline.spin) {
+                        std::thread::sleep(nap);
+                    }
+                    while Instant::now() < due {
+                        std::hint::spin_loop();
+                    }
                     let waited = now.elapsed().as_nanos() as u64;
                     self.timeline.waited_ns.fetch_add(waited, Ordering::Relaxed);
                 }
@@ -333,29 +344,33 @@ mod tests {
     fn paced_source_keeps_the_schedule() {
         let iv = Duration::from_millis(3);
         let n = 12;
-        let tl = Timeline::paced(iv);
-        let mut src = TickSource::new(schema(), ticks(n), PER_TICK, tl.clone());
-        let mut seen = 0;
-        while seen < n * PER_TICK {
-            let recs = drain(&mut src);
-            let since = tl.origin().elapsed();
-            let last_tick = recs.last().unwrap().get(0).unwrap().as_timestamp().unwrap() / TICK_US;
-            // No tick is released before it is due.
-            assert!(since >= iv * last_tick as u32, "tick {last_tick} early");
-            seen += recs.len();
+        // Sleeping all the way, and spinning the last millisecond.
+        for spin in [Duration::ZERO, Duration::from_millis(1)] {
+            let tl = Timeline::paced(iv, spin);
+            let mut src = TickSource::new(schema(), ticks(n), PER_TICK, tl.clone());
+            let mut seen = 0;
+            while seen < n * PER_TICK {
+                let recs = drain(&mut src);
+                let since = tl.origin().elapsed();
+                let last_tick =
+                    recs.last().unwrap().get(0).unwrap().as_timestamp().unwrap() / TICK_US;
+                // No tick is released before it is due.
+                assert!(since >= iv * last_tick as u32, "tick {last_tick} early");
+                seen += recs.len();
+            }
+            assert!(matches!(src.poll(1024).unwrap(), SourceBatch::Exhausted));
+            assert!(tl.origin().elapsed() >= iv * (n as u32 - 1));
+            let lags = tl.lags_ms();
+            assert_eq!(lags.len(), n);
+            assert!(lags.iter().all(|&l| l >= 0.0));
         }
-        assert!(matches!(src.poll(1024).unwrap(), SourceBatch::Exhausted));
-        assert!(tl.origin().elapsed() >= iv * (n as u32 - 1));
-        let lags = tl.lags_ms();
-        assert_eq!(lags.len(), n);
-        assert!(lags.iter().all(|&l| l >= 0.0));
     }
 
     #[test]
     fn stall_raises_latency_of_later_events() {
         let iv = Duration::from_millis(2);
         let n = 10;
-        let tl = Timeline::paced(iv);
+        let tl = Timeline::paced(iv, Duration::ZERO);
         let mut src = TickSource::new(schema(), ticks(n), PER_TICK, tl.clone());
         let mut sink = ResultSink::new(tl.clone(), clock(n));
         let sch = schema();
@@ -393,7 +408,7 @@ mod tests {
     #[test]
     fn latency_sink_maps_ts_to_due_time() {
         let iv = Duration::from_millis(10);
-        let tl = Timeline::paced(iv);
+        let tl = Timeline::paced(iv, Duration::ZERO);
         tl.origin
             .set(Instant::now() - Duration::from_millis(100))
             .unwrap();
