@@ -16,10 +16,10 @@ use criterion::{criterion_group, Criterion};
 use nebula::prelude::*;
 use nebulameos_bench::{keyed_window_query, Workload};
 
-/// Crash the edge box after this many source batches — late enough
-/// that checkpoints exist at every swept interval, early enough that
-/// meaningful work remains to replay.
-const CRASH_AFTER_BATCHES: u64 = 12;
+/// Crash the edge box after it has handled this many frames — late
+/// enough that checkpoints exist at every swept interval, early enough
+/// that meaningful work remains to replay.
+const CRASH_AFTER_FRAMES: u64 = 12;
 
 /// A cluster environment tuned for chaos runs: small batches so the
 /// run has enough of them to checkpoint, crash and recover within.
@@ -100,7 +100,7 @@ fn bench_recovery_latency(c: &mut Criterion) {
                 .map(|n| n.id)
                 .unwrap();
             drop(env);
-            let plan = lossy_plan(11).crash_node(edge, CRASH_AFTER_BATCHES);
+            let plan = lossy_plan(11).crash_node(edge, CRASH_AFTER_FRAMES);
             let report = chaos_run(&workload, 4, &plan);
             assert_eq!(report.cluster.replans, 1, "crash must trigger one re-plan");
             report.cluster.recovery_ms
@@ -124,7 +124,7 @@ fn write_bench7() {
     for &every in intervals {
         let (env, edge) = chaos_env(&workload, every);
         drop(env);
-        let plan = lossy_plan(11).crash_node(edge, CRASH_AFTER_BATCHES);
+        let plan = lossy_plan(11).crash_node(edge, CRASH_AFTER_FRAMES);
         let started = std::time::Instant::now();
         let report = chaos_run(&workload, every, &plan);
         let run_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -201,7 +201,7 @@ fn write_bench7() {
             "drop_frames": 0.05,
             "duplicate_frames": 0.02,
             "crash_node": "first edge node",
-            "crash_after_batches": CRASH_AFTER_BATCHES,
+            "crash_after_frames": CRASH_AFTER_FRAMES,
             "seed": 11,
         },
         "recovery_vs_checkpoint_interval": sweep,

@@ -3,8 +3,9 @@
 //! A [`FaultPlan`] describes, with a seed, what goes wrong during a
 //! placed run: per-link frame drops, duplication, reordering, bit
 //! corruption, added latency, periodic link flaps, and one *abrupt*
-//! node crash (the node dies mid-batch without the cooperative
-//! `Handoff` drain of [`crate::cluster::FailureInjection`]). Every
+//! node crash (the node dies mid-batch, without warning). A plan with
+//! only a crash is how a mid-run node failure is run: checkpointed
+//! recovery re-plans around the dead node and replays. Every
 //! link derives its own [`XorShift`] stream from `(plan.seed, link
 //! id)`, so a given plan injects exactly the same faults on every run —
 //! which is what lets the differential chaos suite assert byte-exact
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 /// An abrupt, unannounced node death: after the doomed node has handled
 /// `after_frames` frames it is killed mid-batch — its thread drops all
-/// state and every channel without sending `Eos` or `Handoff`.
+/// state and every channel without sending `Eos`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashFault {
     /// The node to kill. Must not be the cloud root or host a source.

@@ -23,8 +23,8 @@ use crate::ops::Operator;
 use crate::record::RecordBuffer;
 use crate::runtime::ProgressTracker;
 use crate::value::EventTime;
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 
 /// A pump's contribution to an epoch: the source-node operator chain
 /// (if snapshottable), the replay cursor, and the ingest counters that
@@ -133,17 +133,17 @@ impl CheckpointStore {
 
     /// Declares how many site chains each pipeline runs this phase.
     pub fn set_expected_sites(&self, sites: Vec<usize>) {
-        self.inner.lock().unwrap().expected_sites = sites;
+        self.inner.lock().expected_sites = sites;
     }
 
     pub fn put_pump(&self, epoch: u64, pipe: usize, part: PumpPart) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs.entry(epoch).or_default().pumps.insert(pipe, part);
         g.seal(epoch);
     }
 
     pub fn put_site(&self, epoch: u64, pipe: usize, site: usize, part: SitePart) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs
             .entry(epoch)
             .or_default()
@@ -153,7 +153,7 @@ impl CheckpointStore {
     }
 
     pub fn put_cloud(&self, epoch: u64, part: CloudPart) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs.entry(epoch).or_default().cloud = Some(part);
         g.seal(epoch);
     }
@@ -162,7 +162,7 @@ impl CheckpointStore {
     /// drops (deposited by the pump at its end-of-stream; overwritten
     /// if the pipeline re-runs after recovery).
     pub fn record_pump_final(&self, pipe: usize, stats: QueryMetrics, pump_late: u64) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         let fin = g.finals[pipe].get_or_insert_with(PipeFinal::default);
         fin.stats = stats;
         fin.pump_late = pump_late;
@@ -171,19 +171,19 @@ impl CheckpointStore {
     /// Adds one site chain's final late-drop count for `pipe`
     /// (deposited as each site drains its end-of-stream).
     pub fn add_site_final_late(&self, pipe: usize, late: u64) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.finals[pipe]
             .get_or_insert_with(PipeFinal::default)
             .site_late += late;
     }
 
     pub fn final_for(&self, pipe: usize) -> Option<PipeFinal> {
-        self.inner.lock().unwrap().finals[pipe].clone()
+        self.inner.lock().finals[pipe].clone()
     }
 
     /// Completed checkpoints over the run (sealed epochs).
     pub fn checkpoints_taken(&self) -> u64 {
-        self.inner.lock().unwrap().taken
+        self.inner.lock().taken
     }
 
     /// Consumes the newest usable epoch for restore. Clears all stored
@@ -191,7 +191,7 @@ impl CheckpointStore {
     /// and voids the finals of every pipeline not done at the cut, so a
     /// re-run pipeline cannot double-report stale totals.
     pub fn take_for_restore(&self) -> Option<(u64, EpochState)> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         let epoch = g
             .epochs
             .iter()
@@ -213,7 +213,7 @@ impl CheckpointStore {
     /// Clears every stored epoch and final (epoch-0 fallback: the whole
     /// run restarts from scratch).
     pub fn reset(&self) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs.clear();
         g.last_sealed = None;
         for f in &mut g.finals {

@@ -44,25 +44,17 @@
 //! reduction versus [`PlacementStrategy::CloudOnly`] is the
 //! demonstration's headline number.
 //!
-//! ## Failure re-planning
+//! ## Failure re-planning and chaos hardening
 //!
-//! [`ClusterEnvironment::run_placed_with_failure`] kills a topology node
-//! mid-run: after the configured number of source batches the pump
-//! pauses, a [`Frame::Handoff`] marker flushes the pipeline (draining
-//! every in-flight frame ahead of it), each site returns its operator
-//! state, the topology re-attaches the failed node's children
-//! ([`Topology::fail_node`]), stages migrate to the failed node's former
-//! parent, and the pipeline is rebuilt with the preserved state and
-//! resumed. Because state moves losslessly at a quiesced point, results
-//! are identical to an undisturbed run.
-//!
-//! ## Chaos hardening
-//!
-//! [`ClusterEnvironment::run_placed_chaos`] runs the same placed plan
-//! under a seeded [`FaultPlan`]: every inter-site channel drops,
-//! duplicates, reorders, corrupts and delays frames deterministically,
-//! and one non-source node may be killed *abruptly* — mid-batch, with
-//! no cooperative handoff. Three mechanisms keep the output
+//! Moving work off a failed node has one mechanism: checkpointed crash
+//! recovery. [`ClusterEnvironment::run_placed_chaos`] runs the placed
+//! plan under a seeded [`FaultPlan`]: every inter-site channel may
+//! drop, duplicate, reorder, corrupt and delay frames
+//! deterministically, and one non-source node may be killed
+//! *abruptly* — mid-batch, after it has handled a given number of
+//! frames. A plan with only a crash
+//! (`FaultPlan::seeded(s).crash_node(node, after_frames)`) is a plain
+//! mid-run node failure. Three mechanisms keep the output
 //! byte-identical to an undisturbed [`crate::runtime::StreamEnvironment::run`]:
 //!
 //! - every link speaks the resilient wire protocol of the internal
@@ -165,15 +157,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A mid-run node failure to inject (single-source runs only).
-#[derive(Debug, Clone, Copy)]
-pub struct FailureInjection {
-    /// The node to fail. Must not host the source or be the cloud root.
-    pub node: NodeId,
-    /// Source batches to process before the failure triggers.
-    pub after_batches: u64,
-}
-
 /// Measured traffic over one topology link (same indexing as
 /// [`Topology::links`]).
 #[derive(Debug, Clone, Default)]
@@ -205,15 +188,16 @@ pub struct ClusterMetrics {
     pub uplink_records: u64,
     /// Frames that crossed into a cloud node.
     pub uplink_frames: u64,
-    /// Stages migrated by mid-run failure re-planning.
+    /// Stages migrated off a crashed node by re-planning.
     pub migrated_stages: usize,
-    /// Re-planning rounds triggered by failures.
+    /// Re-planning rounds triggered by crashes.
     pub replans: u32,
     /// Site threads spawned over the run (all phases).
     pub sites: usize,
     /// True when the run split a window into edge partials + cloud merge.
     pub preaggregated: bool,
-    /// Chaos runs: envelopes retransmitted after a NACK or ack timeout.
+    /// Chaos runs: envelopes retransmitted after a NACK (a corrupt,
+    /// missing or probed-for envelope; a slow receiver causes none).
     pub retransmits: u64,
     /// Chaos runs: envelopes dropped by receivers for CRC mismatch.
     pub corrupt_dropped: u64,
@@ -225,9 +209,12 @@ pub struct ClusterMetrics {
     pub heartbeats: u64,
     /// Chaos runs: bytes of ack/nack traffic on reverse channels.
     pub ack_bytes: u64,
-    /// Chaos runs: faults the plan actually injected (drops +
-    /// duplicates + corruptions + reorders across all links).
+    /// Chaos runs: faults the plan actually injected — drops,
+    /// duplicates, corruptions and reorders across all links (including
+    /// links a crash tore down), plus [`Self::crashes`].
     pub faults_injected: u64,
+    /// Chaos runs: node crashes that happened (0 or 1).
+    pub crashes: u64,
     /// Crash recovery time: detection of the dead node to completion
     /// of the state restore (0 when no crash happened).
     pub recovery_ms: f64,
@@ -397,30 +384,18 @@ impl ClusterEnvironment {
         strategy: PlacementStrategy,
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
-        self.run_inner(query, strategy, None, None, sink)
-    }
-
-    /// Like [`Self::run_placed`], but fails `failure.node` after
-    /// `failure.after_batches` source batches and re-plans mid-run.
-    /// Works with any number of hosted sources: every pump pauses at
-    /// its own batch limit and the cloud waits for a handoff (or
-    /// end-of-stream) from each pipeline before the migration phase.
-    pub fn run_placed_with_failure(
-        &mut self,
-        query: &Query,
-        strategy: PlacementStrategy,
-        failure: FailureInjection,
-        sink: &mut dyn Sink,
-    ) -> Result<ClusterReport> {
-        self.run_inner(query, strategy, Some(failure), None, sink)
+        self.run_inner(query, strategy, None, sink)
     }
 
     /// Like [`Self::run_placed`], but under a seeded [`FaultPlan`]:
     /// every link deterministically drops, duplicates, reorders,
     /// corrupts and delays frames, and the plan's crash target (if any)
-    /// dies abruptly mid-batch. The resilient wire protocol and
-    /// checkpointed crash recovery keep the delivered results identical
-    /// to an undisturbed run; the extra work shows up in
+    /// dies abruptly mid-batch. This is also how a mid-run node failure
+    /// is run: a crash-only plan re-plans around the dead node, restores
+    /// the newest sealed checkpoint and replays the sources. The
+    /// resilient wire protocol and checkpointed crash recovery keep the
+    /// delivered results identical to an undisturbed run; the extra
+    /// work shows up in
     /// [`ClusterMetrics::retransmits`], [`ClusterMetrics::corrupt_dropped`],
     /// [`ClusterMetrics::duplicates_suppressed`],
     /// [`ClusterMetrics::checkpoints_taken`] and
@@ -434,14 +409,13 @@ impl ClusterEnvironment {
         plan: &FaultPlan,
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
-        self.run_inner(query, strategy, None, Some(plan), sink)
+        self.run_inner(query, strategy, Some(plan), sink)
     }
 
     fn run_inner(
         &mut self,
         query: &Query,
         strategy: PlacementStrategy,
-        failure: Option<FailureInjection>,
         chaos_plan: Option<&FaultPlan>,
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
@@ -627,7 +601,7 @@ impl ClusterEnvironment {
                 .collect(),
             uplink: LinkAccount::default(),
         });
-        let mut cloud_state = CloudState {
+        let cloud_state = CloudState {
             ops: cloud_ops,
             buffers: Vec::new(),
             progress: ProgressTracker::with_origins(n_pipes as u64),
@@ -656,8 +630,6 @@ impl ClusterEnvironment {
             c.store.set_expected_sites(phase1_sites.clone());
         }
 
-        // Phase 1: run until the failure trigger (or to completion).
-        let batch_limit = failure.as_ref().map(|f| f.after_batches);
         let io = PhaseIo {
             topo: &self.topo,
             cfg: &self.config,
@@ -665,36 +637,27 @@ impl ClusterEnvironment {
             accounts: &accounts,
             cloud_node,
         };
-        let finished = match run_phase(
+        let cloud_state = match run_phase(
             &io,
             &mut pipelines,
             cloud_state,
-            batch_limit,
             &cloud_in_schema,
             chaos_run.as_ref(),
         ) {
-            Ok((st, fin, spawned)) => {
-                cloud_state = st;
+            Ok((st, spawned)) => {
                 cluster.sites += spawned;
-                fin
+                st
             }
             Err(e) => {
                 // An error with the crash switch tripped IS the injected
                 // abrupt node death: detect, re-plan, restore, resume.
-                let crashed = chaos_run
+                let Some((c, switch)) = chaos_run
                     .as_ref()
-                    .and_then(|c| c.switch.as_ref())
-                    .is_some_and(|s| s.tripped());
-                if !crashed {
+                    .and_then(|c| c.switch.as_ref().map(|s| (c, s)))
+                    .filter(|(_, s)| s.tripped())
+                else {
                     return Err(e);
-                }
-                let c = chaos_run
-                    .as_ref()
-                    .ok_or_else(|| internal("crash without a chaos run"))?;
-                let switch = c
-                    .switch
-                    .as_ref()
-                    .ok_or_else(|| internal("crash without a crash switch"))?;
+                };
                 let recovery_t0 = Instant::now();
                 let failed = switch.node;
                 if tel_on {
@@ -717,6 +680,7 @@ impl ClusterEnvironment {
                         ))
                     })?;
                 self.topo.fail_node(failed);
+                cluster.crashes += 1;
                 cluster.replans += 1;
                 for (p, pipe) in pipelines.iter_mut().enumerate() {
                     let mut migrated = 0;
@@ -746,7 +710,7 @@ impl ClusterEnvironment {
                         ),
                     );
                 }
-                match c.store.take_for_restore() {
+                let restored = match c.store.take_for_restore() {
                     // Restore the newest sealed epoch: pump counters and
                     // operator state per live pipeline, cloud tail state,
                     // and a source rewind to the checkpointed batch.
@@ -805,7 +769,7 @@ impl ClusterEnvironment {
                         // docs/observability.md). The cloud sampler and
                         // snapshot retention restart fresh: the sampled
                         // series is best-effort under crashes.
-                        cloud_state = CloudState {
+                        CloudState {
                             ops: cloud_part.ops.ok_or_else(|| {
                                 internal("usable epoch has an unsnapshotted cloud")
                             })?,
@@ -817,7 +781,7 @@ impl ClusterEnvironment {
                                 all_chains(&pipe_tels, &cloud_tel),
                                 Arc::clone(&trace),
                             ),
-                        };
+                        }
                     }
                     // Epoch-0 fallback: no usable checkpoint (some
                     // operator cannot snapshot). Recompile everything and
@@ -860,7 +824,7 @@ impl ClusterEnvironment {
                                 return Err(internal("chaos source lost its replay log"));
                             }
                         }
-                        cloud_state = CloudState {
+                        CloudState {
                             ops: fresh_cloud,
                             buffers: Vec::new(),
                             progress: ProgressTracker::with_origins(n_pipes as u64),
@@ -870,13 +834,13 @@ impl ClusterEnvironment {
                                 all_chains(&pipe_tels, &cloud_tel),
                                 Arc::clone(&trace),
                             ),
-                        };
+                        }
                     }
-                }
+                };
                 cluster.recovery_ms = recovery_t0.elapsed().as_secs_f64() * 1e3;
 
-                // Phase 2: chaos continues on the surviving links, but
-                // the crash switch is disarmed (the node is dead).
+                // Resume: chaos continues on the surviving links, but the
+                // crash switch is disarmed (the node is dead).
                 let resumed = c.next_phase();
                 resumed
                     .store
@@ -888,110 +852,17 @@ impl ClusterEnvironment {
                     accounts: &accounts,
                     cloud_node,
                 };
-                let (st, fin, spawned) = run_phase(
+                let (st, spawned) = run_phase(
                     &io,
                     &mut pipelines,
-                    cloud_state,
-                    None,
+                    restored,
                     &cloud_in_schema,
                     Some(&resumed),
                 )?;
-                cloud_state = st;
                 cluster.sites += spawned;
-                if !fin {
-                    return Err(internal("chaos resume paused unexpectedly"));
-                }
-                true
+                st
             }
         };
-
-        if !finished {
-            // Migration: fail the node, move its stages to its former
-            // parent, rebuild the pipeline from the preserved state.
-            let failure = failure.ok_or_else(|| internal("handoff without a failure injection"))?;
-            let failed = failure.node;
-            if pipelines.iter().any(|p| p.node == failed) {
-                return Err(NebulaError::Plan(format!(
-                    "cannot fail node '{}': it hosts a source",
-                    self.topo.node(failed).name
-                )));
-            }
-            let parent = self
-                .topo
-                .links()
-                .iter()
-                .find(|l| l.from == failed)
-                .map(|l| l.to)
-                .ok_or_else(|| {
-                    NebulaError::Plan(format!(
-                        "cannot fail node '{}': it has no parent to migrate to",
-                        self.topo.node(failed).name
-                    ))
-                })?;
-            self.topo.fail_node(failed);
-            cluster.replans += 1;
-            if tel_on {
-                trace.push(
-                    COORDINATOR_ORIGIN,
-                    TraceKind::NodeDown,
-                    format!("node '{}' failed by injection", self.topo.node(failed).name),
-                );
-            }
-            for (p, pipe) in pipelines.iter_mut().enumerate() {
-                let mut migrated = 0;
-                for node in &mut pipe.assign {
-                    if *node == failed {
-                        *node = parent;
-                        migrated += 1;
-                    }
-                }
-                cluster.migrated_stages += migrated;
-                let mut flat = std::mem::take(&mut pipe.pump.ops);
-                for (_, ops) in pipe.sites.drain(..) {
-                    flat.extend(ops);
-                }
-                let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                pipe.pump.ops = group0;
-                pipe.sites = sites;
-                let (new_pl, _) = crate::topology::replace_after_failure(
-                    &self.topo,
-                    &placements[p],
-                    failed,
-                    parent,
-                );
-                placements[p] = new_pl;
-            }
-            if tel_on {
-                trace.push(
-                    COORDINATOR_ORIGIN,
-                    TraceKind::Replan,
-                    format!(
-                        "{} stage(s) migrated to '{}'",
-                        cluster.migrated_stages,
-                        self.topo.node(parent).name
-                    ),
-                );
-            }
-            // Phase 2: resume to completion on the re-planned pipeline.
-            let io = PhaseIo {
-                topo: &self.topo,
-                cfg: &self.config,
-                wire: &self.wire,
-                accounts: &accounts,
-                cloud_node,
-            };
-            let (st, finished, spawned) = run_phase(
-                &io,
-                &mut pipelines,
-                cloud_state,
-                None,
-                &cloud_in_schema,
-                None,
-            )?;
-            debug_assert!(finished, "no batch limit, phase must finish");
-            cloud_state = st;
-            cluster.sites += spawned;
-        }
 
         // Deliver order-normalized, like `run_partitioned`.
         let merged = merge_partitions(output_schema, vec![cloud_state.buffers]);
@@ -1059,7 +930,8 @@ impl ClusterEnvironment {
             cluster.faults_injected = c.stats.injected_drops.load(o)
                 + c.stats.injected_dups.load(o)
                 + c.stats.injected_corruptions.load(o)
-                + c.stats.injected_reorders.load(o);
+                + c.stats.injected_reorders.load(o)
+                + cluster.crashes;
             cluster.checkpoints_taken = c.store.checkpoints_taken();
             // A crashed phase's thread count never returned normally;
             // the shared counter has the true total.
@@ -1420,14 +1292,11 @@ impl TxLink {
     }
 
     /// Chaos mode: block until every sent envelope is acknowledged (the
-    /// link-level end-of-stream guarantee), then fold this link's
-    /// injected-fault counters into the run's stats. No-op on plain
-    /// links.
+    /// link-level end-of-stream guarantee). No-op on plain links.
     fn flush(&mut self) -> Result<()> {
         let TxLink { wire, rel } = self;
         if let Some(r) = rel {
             r.flush(&mut |b, n| wire.send(b, n))?;
-            r.merge_chaos_counters();
         }
         Ok(())
     }
@@ -1588,7 +1457,7 @@ struct SiteTel {
 }
 
 /// One edge site: decode, drive the sub-chain, re-encode downstream.
-/// Returns the operator state on end-of-stream or handoff.
+/// Returns the operator state on end-of-stream.
 ///
 /// Thread entry point: every argument is moved out of the spawning
 /// closure and owned until the site shuts down.
@@ -1615,7 +1484,7 @@ fn run_site(
             if let Some(switch) = &c.doom {
                 if switch.observe() {
                     // Abrupt death: all operator state and every channel
-                    // drop mid-batch, with no Eos and no Handoff.
+                    // drop mid-batch, with no Eos.
                     return Err(ClusterError::NodeDown {
                         node: c.doom_name.clone(),
                     }
@@ -1692,10 +1561,6 @@ fn run_site(
                     c.store.add_site_final_late(c.pipe, chain_late_drops(&ops));
                 }
                 rx.linger(&depth);
-                return Ok(ops);
-            }
-            Frame::Handoff => {
-                tx.send(encode_frame(&Frame::Handoff, &out_schema, &wire)?, 0)?;
                 return Ok(ops);
             }
         }
@@ -1823,9 +1688,60 @@ fn collect_data(buffers: &mut Vec<RecordBuffer>, msgs: Vec<StreamMessage>) -> u6
     collected
 }
 
+impl CloudState {
+    /// The one cloud frame handler, shared by the plain and the chaos
+    /// fan-in: data drives the tail chain, watermarks and end-of-stream
+    /// advance the per-pipeline frontier, node snapshots are retained.
+    /// `p` is the sending pipeline. Returns true once every pipeline has
+    /// ended and the tail chain has flushed. Barriers belong to the
+    /// chaos loop's alignment and never reach this handler.
+    fn apply(&mut self, p: usize, frame: Frame, in_schema: &SchemaRef) -> Result<bool> {
+        match frame {
+            Frame::Data(recs) => {
+                self.tel.records_in += recs.len() as u64;
+                let buf = RecordBuffer::new(in_schema.clone(), recs);
+                let t0 = Instant::now();
+                let msgs = drive(&mut self.ops, StreamMessage::Data(buf))?;
+                self.latency.record(t0.elapsed().as_secs_f64() * 1e6);
+                self.tel.records_out += collect_data(&mut self.buffers, msgs);
+            }
+            Frame::Watermark(w) => {
+                // The tracker owns the fan-in rules: min across live
+                // origins, monotone, silent until every live origin has
+                // reported.
+                let advanced = self.progress.advance_origin(p as u64, w);
+                self.emit_frontier(advanced)?;
+            }
+            Frame::Eos => {
+                // Removing a finished input can only raise the minimum.
+                let advanced = self.progress.finish(p as u64);
+                if self.progress.all_done() {
+                    let msgs = drive(&mut self.ops, StreamMessage::Eos)?;
+                    self.tel.records_out += collect_data(&mut self.buffers, msgs);
+                    return Ok(true);
+                }
+                self.emit_frontier(advanced)?;
+            }
+            Frame::Telemetry(snap) => self.tel.keep(snap),
+            Frame::Barrier(_) => return Err(internal("checkpoint barrier outside a chaos run")),
+        }
+        Ok(false)
+    }
+
+    /// Drives the tail chain with the new global frontier, if the
+    /// tracker reported a strict advance.
+    fn emit_frontier(&mut self, advanced: Option<EventTime>) -> Result<()> {
+        if let Some(c) = advanced {
+            let msgs = drive(&mut self.ops, StreamMessage::Watermark(c))?;
+            self.tel.records_out += collect_data(&mut self.buffers, msgs);
+        }
+        Ok(())
+    }
+}
+
 /// The cloud site: fans in every pipeline, min-combines watermarks,
-/// drives the shared tail, and collects results. Returns `true` when
-/// the run finished (`false`: handoff, resume in the next phase).
+/// drives the shared tail, and collects results until every pipeline
+/// has ended.
 ///
 /// Thread entry point: arguments are moved out of the spawning closure
 /// and owned until the phase ends.
@@ -1836,16 +1752,7 @@ fn run_cloud(
     rx: Receiver<(usize, Vec<u8>)>,
     depths: Vec<Arc<AtomicU64>>,
     wire: WireRegistry,
-) -> Result<(CloudState, bool)> {
-    // Handoff seen per input pipeline this phase (failure injection
-    // pauses every live pipeline, each at its own batch limit).
-    let mut handed = vec![false; st.progress.len()];
-    let paused = |handed: &[bool], st: &CloudState| -> bool {
-        handed
-            .iter()
-            .enumerate()
-            .all(|(q, h)| *h || st.progress.is_done(q as u64))
-    };
+) -> Result<CloudState> {
     loop {
         let queue_depth: u64 = depths.iter().map(|d| d.load(Ordering::Relaxed)).sum();
         st.tel.maybe_sample(&st.progress, queue_depth);
@@ -1853,55 +1760,13 @@ fn run_cloud(
             .recv()
             .map_err(|_| NebulaError::Eval("cluster: all pipelines hung up".into()))?;
         depths[p].fetch_sub(1, Ordering::Relaxed);
-        match decode_frame(&bytes, &in_schema, &wire)? {
-            Frame::Data(recs) => {
-                st.tel.records_in += recs.len() as u64;
-                let buf = RecordBuffer::new(in_schema.clone(), recs);
-                let t0 = Instant::now();
-                let msgs = drive(&mut st.ops, StreamMessage::Data(buf))?;
-                st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                st.tel.records_out += collect_data(&mut st.buffers, msgs);
-            }
-            Frame::Watermark(w) => {
-                // The tracker owns the fan-in rules: min across live
-                // origins, monotone, silent until every live origin has
-                // reported.
-                if let Some(c) = st.progress.advance_origin(p as u64, w) {
-                    let msgs = drive(&mut st.ops, StreamMessage::Watermark(c))?;
-                    st.tel.records_out += collect_data(&mut st.buffers, msgs);
-                }
-            }
-            Frame::Eos => {
-                // Removing a finished input can only raise the minimum.
-                let advanced = st.progress.finish(p as u64);
-                if st.progress.all_done() {
-                    let msgs = drive(&mut st.ops, StreamMessage::Eos)?;
-                    st.tel.records_out += collect_data(&mut st.buffers, msgs);
-                    return Ok((st, true));
-                }
-                if let Some(c) = advanced {
-                    let msgs = drive(&mut st.ops, StreamMessage::Watermark(c))?;
-                    st.tel.records_out += collect_data(&mut st.buffers, msgs);
-                }
-                if handed.iter().any(|h| *h) && paused(&handed, &st) {
-                    return Ok((st, false));
-                }
-            }
-            Frame::Barrier(_) => {
-                return Err(internal("checkpoint barrier outside a chaos run"));
-            }
-            Frame::Telemetry(snap) => st.tel.keep(snap),
-            Frame::Handoff => {
-                handed[p] = true;
-                if paused(&handed, &st) {
-                    return Ok((st, false));
-                }
-            }
+        if st.apply(p, decode_frame(&bytes, &in_schema, &wire)?, &in_schema)? {
+            return Ok(st);
         }
     }
 }
 
-/// The chaos cloud's working state: the legacy [`CloudState`] plus
+/// The chaos cloud's working state: the [`CloudState`] plus
 /// barrier-alignment bookkeeping (Chandy–Lamport style: once a barrier
 /// arrives from one pipeline, that pipeline's further frames are held
 /// back until every live pipeline has presented the same barrier; the
@@ -1932,50 +1797,21 @@ impl CloudChaosState {
         }
     }
 
+    /// Marks a barrier for alignment; hands every other frame to the
+    /// shared [`CloudState::apply`].
     fn apply(&mut self, p: usize, bytes: &[u8]) -> Result<()> {
         match decode_frame(bytes, &self.in_schema, &self.wire)? {
-            Frame::Data(recs) => {
-                self.st.tel.records_in += recs.len() as u64;
-                let buf = RecordBuffer::new(self.in_schema.clone(), recs);
-                let t0 = Instant::now();
-                let msgs = drive(&mut self.st.ops, StreamMessage::Data(buf))?;
-                self.st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                self.st.tel.records_out += collect_data(&mut self.st.buffers, msgs);
-            }
-            Frame::Watermark(w) => {
-                let advanced = self.st.progress.advance_origin(p as u64, w);
-                self.emit_frontier(advanced)?;
-            }
             Frame::Barrier(epoch) => {
                 if self.aligning.is_none() {
                     self.aligning = Some(epoch);
                 }
                 self.seen[p] = true;
             }
-            Frame::Eos => {
-                let advanced = self.st.progress.finish(p as u64);
-                if self.st.progress.all_done() {
-                    let msgs = drive(&mut self.st.ops, StreamMessage::Eos)?;
-                    self.st.tel.records_out += collect_data(&mut self.st.buffers, msgs);
+            frame => {
+                if self.st.apply(p, frame, &self.in_schema)? {
                     self.finished = true;
-                    return Ok(());
                 }
-                self.emit_frontier(advanced)?;
             }
-            Frame::Telemetry(snap) => self.st.tel.keep(snap),
-            Frame::Handoff => {
-                return Err(internal("handoff frame in a chaos run"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Drives the tail chain with the new global frontier, if the
-    /// tracker reported a strict advance.
-    fn emit_frontier(&mut self, advanced: Option<EventTime>) -> Result<()> {
-        if let Some(c) = advanced {
-            let msgs = drive(&mut self.st.ops, StreamMessage::Watermark(c))?;
-            self.st.tel.records_out += collect_data(&mut self.st.buffers, msgs);
         }
         Ok(())
     }
@@ -2047,7 +1883,7 @@ fn run_cloud_chaos(
     mut rel: Vec<ReliableRx>,
     store: Arc<CheckpointStore>,
     abort: Arc<AtomicBool>,
-) -> Result<(CloudState, bool)> {
+) -> Result<CloudState> {
     let n = st.progress.len();
     let mut cc = CloudChaosState {
         st,
@@ -2082,7 +1918,7 @@ fn run_cloud_chaos(
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            return Ok((cc.st, true));
+            return Ok(cc.st);
         }
         match rx.recv_timeout(Duration::from_millis(5)) {
             Ok((p, raw)) => {
@@ -2157,11 +1993,6 @@ struct PipelinePlan {
     sites: Vec<(NodeId, Vec<Box<dyn Operator>>)>,
 }
 
-enum PumpEnd {
-    Exhausted,
-    Limit,
-}
-
 /// Chaos-mode context for one pump thread.
 struct PumpChaos {
     store: Arc<CheckpointStore>,
@@ -2194,16 +2025,14 @@ impl PumpChaos {
 
 /// Polls the source, drives the source-node stages, generates
 /// watermarks, and pushes frames downstream — mirroring
-/// `StreamEnvironment::run`'s ingest loop. Stops at `batch_limit`
-/// without flushing (handoff follows); otherwise flushes end-of-stream.
+/// `StreamEnvironment::run`'s ingest loop, then flushes end-of-stream.
 fn pump(
     st: &mut PumpState,
     tx: &mut TxLink,
     wire: &WireRegistry,
     cfg: &ClusterConfig,
-    batch_limit: Option<u64>,
     chaos: Option<&PumpChaos>,
-) -> Result<PumpEnd> {
+) -> Result<()> {
     let out_schema = st
         .ops
         .last()
@@ -2216,9 +2045,6 @@ fn pump(
     let started = Instant::now();
     let mut last_snap = Instant::now();
     loop {
-        if batch_limit.is_some_and(|limit| st.batches >= limit) {
-            return Ok(PumpEnd::Limit);
-        }
         if let Some(c) = chaos {
             if c.abort.load(Ordering::Relaxed) {
                 return Err(ClusterError::Aborted.into());
@@ -2322,10 +2148,9 @@ fn pump(
             .record_pump_final(c.pipe, st.stats.clone(), chain_late_drops(&st.ops));
     }
     st.eos_sent = true;
-    Ok(PumpEnd::Exhausted)
+    Ok(())
 }
 
-/// Shared phase context.
 /// Whether `node` lies on the frame route `src → sites… → cloud` of a
 /// pipeline — as any hop endpoint, including pass-through relays that
 /// host no operators.
@@ -2346,6 +2171,7 @@ fn route_crosses(io: &PhaseIo<'_>, src: NodeId, sites: &[NodeId], node: NodeId) 
     Ok(false)
 }
 
+/// Shared phase context.
 struct PhaseIo<'a> {
     topo: &'a Topology,
     cfg: &'a ClusterConfig,
@@ -2396,19 +2222,17 @@ fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
 
 /// Spawns the sites and cloud for every pipeline, runs the pumps, and
 /// joins everything, restoring operator state into `pipelines`. Returns
-/// the cloud state, whether the run finished (vs paused for handoff),
-/// and how many site threads were spawned. Pipelines whose stream
-/// already ended (`eos_sent`) spawn nothing. In chaos mode every hop
-/// gets a fault injector, a resilient link, and a reverse ack channel,
-/// and the cloud runs the barrier-aligning variant.
+/// the cloud state and how many site threads were spawned. Pipelines
+/// whose stream already ended (`eos_sent`) spawn nothing. In chaos mode
+/// every hop gets a fault injector, a resilient link, and a reverse ack
+/// channel, and the cloud runs the barrier-aligning variant.
 fn run_phase(
     io: &PhaseIo<'_>,
     pipelines: &mut [PipelinePlan],
     cloud_state: CloudState,
-    batch_limit: Option<u64>,
     cloud_in_schema: &SchemaRef,
     chaos: Option<&ChaosRun>,
-) -> Result<(CloudState, bool, usize)> {
+) -> Result<(CloudState, usize)> {
     let cap = io.cfg.channel_capacity.max(1);
     let n_pipes = pipelines.len();
     let mut sites_spawned = 0usize;
@@ -2428,7 +2252,7 @@ fn run_phase(
         .is_some_and(|s| site_nodes.iter().any(|ns| ns.contains(&s.node)));
 
     type SiteOps = Vec<Vec<Box<dyn Operator>>>;
-    let scoped: Result<(CloudState, bool, Vec<SiteOps>)> = std::thread::scope(|scope| {
+    let scoped: Result<(CloudState, Vec<SiteOps>)> = std::thread::scope(|scope| {
         let (inbox_tx, inbox_rx) = bounded::<(usize, Vec<u8>)>(cap * n_pipes);
         let mut inbox_depths = Vec::with_capacity(n_pipes);
         let mut site_handles = Vec::with_capacity(n_pipes);
@@ -2616,7 +2440,6 @@ fn run_phase(
 
             let wire = io.wire.clone();
             let cfg = io.cfg;
-            let handoff_schema = pump_state.schema.clone();
             let pump_doom = match chaos.and_then(|c| c.switch.as_ref()) {
                 Some(s) if !doomed_site_hosted && route_crosses(io, src_node, nodes, s.node)? => {
                     Some(Arc::clone(s))
@@ -2634,24 +2457,7 @@ fn run_phase(
             let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
             pump_handles.push(scope.spawn(move || -> Result<()> {
                 let mut tx = pump_tx;
-                let r = (|| -> Result<()> {
-                    match pump(
-                        pump_state,
-                        &mut tx,
-                        &wire,
-                        cfg,
-                        batch_limit,
-                        pump_chaos.as_ref(),
-                    )? {
-                        PumpEnd::Limit => {
-                            // Quiesce: the marker drains behind all data
-                            // frames still in the pipeline.
-                            tx.send(encode_frame(&Frame::Handoff, &handoff_schema, &wire)?, 0)?;
-                        }
-                        PumpEnd::Exhausted => {}
-                    }
-                    Ok(())
-                })();
+                let r = pump(pump_state, &mut tx, &wire, cfg, pump_chaos.as_ref());
                 if r.is_err() {
                     if let Some(a) = &abort_flag {
                         a.store(true, Ordering::Relaxed);
@@ -2752,12 +2558,11 @@ fn run_phase(
         if let Some(e) = site_err.or(pump_err) {
             return Err(e);
         }
-        let (state, finished) =
-            cloud.ok_or_else(|| internal("cloud thread vanished without an error"))?;
-        Ok((state, finished, all_ops))
+        let state = cloud.ok_or_else(|| internal("cloud thread vanished without an error"))?;
+        Ok((state, all_ops))
     });
 
-    let (state, finished, all_ops) = scoped?;
+    let (state, all_ops) = scoped?;
     for (i, (pipe, (nodes, ops))) in pipelines
         .iter_mut()
         .zip(site_nodes.into_iter().zip(all_ops))
@@ -2768,5 +2573,5 @@ fn run_phase(
         }
         pipe.sites = nodes.into_iter().zip(ops).collect();
     }
-    Ok((state, finished, sites_spawned))
+    Ok((state, sites_spawned))
 }

@@ -26,8 +26,9 @@
 //!   across topology nodes: per-node site threads joined by bounded
 //!   channels carrying a byte-accounted wire format, cross-boundary
 //!   watermark propagation, edge pre-aggregation of splittable window
-//!   aggregates, and pause-and-migrate failure re-planning ([`cluster`],
-//!   [`wire`], [`preagg`]).
+//!   aggregates, and node-failure recovery through barrier checkpoints,
+//!   re-planning and source replay ([`cluster`], [`wire`], [`preagg`],
+//!   [`chaos`]).
 //! - **Per-origin punctuated progress tracking** — every buffer is
 //!   stamped with its origin, sequence number and watermark
 //!   punctuation; [`runtime::ProgressTracker`] folds the stamps into a
@@ -127,8 +128,7 @@ pub mod prelude {
     pub use crate::buffer::{BufferMeta, Column, ColumnBuilder, TupleBuffer};
     pub use crate::chaos::{CrashFault, FaultPlan, LinkFlap};
     pub use crate::cluster::{
-        ClusterConfig, ClusterEnvironment, ClusterMetrics, ClusterReport, FailureInjection,
-        LinkMetrics,
+        ClusterConfig, ClusterEnvironment, ClusterMetrics, ClusterReport, LinkMetrics,
     };
     pub use crate::error::{ClusterError, NebulaError, Result};
     pub use crate::expr::{

@@ -8,9 +8,14 @@
 //! re-orders buffered out-of-order arrivals, and acknowledges
 //! cumulatively on a small reverse channel. The sending side
 //! ([`ReliableTx`]) keeps a bounded in-flight window of unacknowledged
-//! envelopes and retransmits on NACK or timeout with capped exponential
-//! backoff — so the operator pipeline above sees exactly the frame
-//! sequence it would see on a perfect link, in order, exactly once.
+//! envelopes and retransmits on NACK. When acks stop coming it does not
+//! guess: after a timeout (capped exponential backoff) it sends a probe,
+//! a heartbeat carrying its next sequence number, and the receiver
+//! answers with a NACK for the first envelope it misses (or a re-ack if
+//! it misses none). A slow receiver therefore never causes a
+//! retransmission, and the operator pipeline above sees exactly the
+//! frame sequence it would see on a perfect link, in order, exactly
+//! once.
 //!
 //! Heartbeats ([`ReliableTx::heartbeat`]) keep a quiet link observably
 //! alive; a receiver that sees nothing — not even heartbeats — for its
@@ -41,9 +46,10 @@ pub(crate) const ACK_WIRE_BYTES: u64 = 9;
 /// Max in-flight (unacknowledged) envelopes before a sender blocks.
 pub(crate) const DEFAULT_WINDOW: usize = 32;
 
-/// Timeout-retransmission attempts before a sender declares the link
-/// dead (backoff caps at [`BACKOFF_CAP`], so this bounds flush time).
-const MAX_RETRANSMIT_ROUNDS: u32 = 2_000;
+/// Unanswered ack timeouts (each followed by a probe) before a sender
+/// declares the link dead (backoff caps at [`BACKOFF_CAP`], so this
+/// bounds flush time).
+const MAX_TIMEOUT_ROUNDS: u32 = 2_000;
 
 const BACKOFF_START: Duration = Duration::from_micros(200);
 const BACKOFF_CAP: Duration = Duration::from_millis(4);
@@ -103,8 +109,10 @@ impl ReliableTx {
         Ok(())
     }
 
-    /// Sends an unsequenced liveness beacon (not retransmitted, not
-    /// acknowledged — the next one supersedes it).
+    /// Sends an unsequenced liveness beacon (not retransmitted — the
+    /// next one supersedes it). It carries the next sequence number, so
+    /// it also serves as a loss probe: the receiver NACKs a gap before
+    /// it or re-acks.
     pub fn heartbeat<F>(&mut self, emit: &mut F) -> Result<()>
     where
         F: FnMut(Vec<u8>, u64) -> Result<()>,
@@ -119,7 +127,7 @@ impl ReliableTx {
 
     /// Blocks until every sent envelope is acknowledged — the link-level
     /// end-of-stream guarantee. Releases any frame the chaos layer is
-    /// still holding for reordering first, then retransmits with capped
+    /// still holding for reordering first, then probes with capped
     /// backoff until the window drains or the link is declared dead.
     pub fn flush<F>(&mut self, emit: &mut F) -> Result<()>
     where
@@ -135,10 +143,10 @@ impl ReliableTx {
                 Ok(msg) => self.on_ack(msg, emit)?,
                 Err(RecvTimeoutError::Timeout) => {
                     rounds += 1;
-                    if rounds > MAX_RETRANSMIT_ROUNDS {
+                    if rounds > MAX_TIMEOUT_ROUNDS {
                         return Err(link_down(&self.label));
                     }
-                    self.retransmit_oldest(emit)?;
+                    self.heartbeat(emit)?;
                     backoff = (backoff * 2).min(BACKOFF_CAP);
                 }
                 Err(RecvTimeoutError::Disconnected) => return Err(link_down(&self.label)),
@@ -151,22 +159,6 @@ impl ReliableTx {
     #[cfg(test)]
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Folds this link's injected-fault counters into the shared stats
-    /// (call once, when the link closes).
-    pub fn merge_chaos_counters(&self) {
-        let c = &self.chaos;
-        self.stats
-            .injected_drops
-            .fetch_add(c.drops, atomic_relaxed());
-        self.stats.injected_dups.fetch_add(c.dups, atomic_relaxed());
-        self.stats
-            .injected_corruptions
-            .fetch_add(c.corruptions, atomic_relaxed());
-        self.stats
-            .injected_reorders
-            .fetch_add(c.reorders, atomic_relaxed());
     }
 
     fn drain_acks<F>(&mut self, emit: &mut F) -> Result<()>
@@ -190,10 +182,10 @@ impl ReliableTx {
                 Ok(msg) => self.on_ack(msg, emit)?,
                 Err(RecvTimeoutError::Timeout) => {
                     rounds += 1;
-                    if rounds > MAX_RETRANSMIT_ROUNDS {
+                    if rounds > MAX_TIMEOUT_ROUNDS {
                         return Err(link_down(&self.label));
                     }
-                    self.retransmit_oldest(emit)?;
+                    self.heartbeat(emit)?;
                     backoff = (backoff * 2).min(BACKOFF_CAP);
                 }
                 Err(RecvTimeoutError::Disconnected) => return Err(link_down(&self.label)),
@@ -223,19 +215,24 @@ impl ReliableTx {
         }
         Ok(())
     }
+}
 
-    fn retransmit_oldest<F>(&mut self, emit: &mut F) -> Result<()>
-    where
-        F: FnMut(Vec<u8>, u64) -> Result<()>,
-    {
-        if let Some((_, (env, records))) = self.in_flight.iter().next() {
-            let (env, records) = (env.clone(), *records);
-            self.stats.retransmits.fetch_add(1, atomic_relaxed());
-            for t in self.chaos.transmit(env) {
-                emit(t, records)?;
-            }
-        }
-        Ok(())
+/// Folds this link's injected-fault counters into the shared stats when
+/// the link closes — after a clean flush, and equally when a crash
+/// tears the link down unflushed, so every injected fault is counted.
+impl Drop for ReliableTx {
+    fn drop(&mut self) {
+        let c = &self.chaos;
+        self.stats
+            .injected_drops
+            .fetch_add(c.drops, atomic_relaxed());
+        self.stats.injected_dups.fetch_add(c.dups, atomic_relaxed());
+        self.stats
+            .injected_corruptions
+            .fetch_add(c.corruptions, atomic_relaxed());
+        self.stats
+            .injected_reorders
+            .fetch_add(c.reorders, atomic_relaxed());
     }
 }
 
@@ -287,7 +284,17 @@ impl ReliableRx {
             }
         };
         if env.kind != ENV_PAYLOAD {
-            // Heartbeat (or stray control): liveness already refreshed.
+            // Liveness is already refreshed. A heartbeat carries the
+            // sender's next sequence number, so it doubles as a loss
+            // probe: NACK the first gap before it, or re-ack when
+            // nothing is missing (the last ack may have been dropped).
+            if env.kind == ENV_HEARTBEAT {
+                if env.seq > self.expected {
+                    self.send_ctl(AckMsg::Nack(self.expected));
+                } else if self.expected > 0 {
+                    self.send_ctl(AckMsg::Ack(self.expected - 1));
+                }
+            }
             return RxEvent::Control;
         }
         match env.seq.cmp(&self.expected) {
@@ -366,7 +373,8 @@ mod tests {
     /// asserts exactly-once, in-order delivery. Single-threaded, so the
     /// flush is driven as explicit retransmission rounds interleaved
     /// with receiver drains (a blocking [`ReliableTx::flush`] would
-    /// starve its own receiver here).
+    /// starve its own receiver here): each round probes, and the NACK
+    /// the probe draws triggers the retransmission.
     fn loopback(plan: &FaultPlan, n: u32) -> (Vec<Vec<u8>>, Arc<ChaosStats>) {
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -414,11 +422,10 @@ mod tests {
             if tx.in_flight() == 0 {
                 break;
             }
-            tx.retransmit_oldest(&mut emit).unwrap();
+            tx.heartbeat(&mut emit).unwrap();
             pump_rx(&mut rx, &mut delivered);
         }
         assert_eq!(tx.in_flight(), 0, "window drained");
-        tx.merge_chaos_counters();
         (delivered, stats)
     }
 

@@ -439,7 +439,8 @@ pub enum TraceKind {
     CheckpointSealed,
     /// A node crashed or was declared down by heartbeat loss.
     NodeDown,
-    /// The placement was re-planned (failure migration or recovery).
+    /// The placement was re-planned around a crashed node (crash
+    /// recovery).
     Replan,
     /// Late-record drops occurred since the previous sample.
     LateDropBurst,

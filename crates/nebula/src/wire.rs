@@ -4,8 +4,8 @@
 //! NebulaStream workers exchange serialized TupleBuffers plus control
 //! messages over the network; this module is the analogue for the
 //! [`crate::cluster`] runtime. A [`Frame`] is either a batch of records,
-//! a watermark advance, end-of-stream, or the pause-and-migrate
-//! [`Frame::Handoff`] marker used during failure re-planning.
+//! a watermark advance, end-of-stream, a checkpoint barrier, or a
+//! telemetry snapshot.
 //!
 //! ## Encoding
 //!
@@ -57,9 +57,6 @@ pub enum Frame {
     Watermark(EventTime),
     /// Control: the upstream site has flushed its state and finished.
     Eos,
-    /// Control: pause for migration — the upstream pipeline is about to
-    /// be re-planned; sites forward the marker and return their state.
-    Handoff,
     /// Control: checkpoint barrier — everything before this marker
     /// belongs to checkpoint epoch `.0`. Sites snapshot their operator
     /// state when the barrier passes; the cloud aligns barriers across
@@ -74,7 +71,6 @@ pub enum Frame {
 const FRAME_DATA: u8 = 0;
 const FRAME_WATERMARK: u8 = 1;
 const FRAME_EOS: u8 = 2;
-const FRAME_HANDOFF: u8 = 3;
 const FRAME_BARRIER: u8 = 4;
 const FRAME_TELEMETRY: u8 = 5;
 
@@ -150,7 +146,6 @@ pub fn encode_frame(frame: &Frame, schema: &Schema, registry: &WireRegistry) -> 
             body.extend_from_slice(&wm.to_le_bytes());
         }
         Frame::Eos => body.push(FRAME_EOS),
-        Frame::Handoff => body.push(FRAME_HANDOFF),
         Frame::Barrier(epoch) => {
             body.push(FRAME_BARRIER);
             body.extend_from_slice(&epoch.to_le_bytes());
@@ -310,34 +305,32 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next `N` bytes as a fixed-width array, for little-endian
+    /// number fields.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| corrupt(format!("field is not {N} bytes wide")))
+    }
+
     fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        )))
+        Ok(f64::from_bits(self.u64()?))
     }
 
     /// A length field that must fit in the remaining buffer (rejects
@@ -384,7 +377,6 @@ pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> R
         }
         FRAME_WATERMARK => Frame::Watermark(c.i64()?),
         FRAME_EOS => Frame::Eos,
-        FRAME_HANDOFF => Frame::Handoff,
         FRAME_BARRIER => Frame::Barrier(c.u64()?),
         FRAME_TELEMETRY => {
             let origin = c.u64()?;
@@ -580,10 +572,11 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope> {
             bytes.len()
         )));
     }
-    let kind = bytes[0];
-    let seq = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
-    let declared = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes"));
-    let payload = &bytes[ENVELOPE_OVERHEAD..];
+    let mut c = Cursor::new(bytes);
+    let kind = c.u8()?;
+    let seq = c.u64()?;
+    let declared = c.u32()?;
+    let payload = c.take(c.remaining())?;
     let actual = crc32_parts(kind, seq, payload);
     if declared != actual {
         return Err(corrupt(format!(
@@ -648,17 +641,12 @@ mod tests {
     fn control_round_trips() {
         let reg = WireRegistry::new();
         let s = schema();
-        for frame in [
-            Frame::Watermark(-5),
-            Frame::Eos,
-            Frame::Handoff,
-            Frame::Barrier(7),
-        ] {
+        for frame in [Frame::Watermark(-5), Frame::Eos, Frame::Barrier(7)] {
             let bytes = encode_frame(&frame, &s, &reg).unwrap();
             let back = decode_frame(&bytes, &s, &reg).unwrap();
             match (&frame, &back) {
                 (Frame::Watermark(a), Frame::Watermark(b)) => assert_eq!(a, b),
-                (Frame::Eos, Frame::Eos) | (Frame::Handoff, Frame::Handoff) => {}
+                (Frame::Eos, Frame::Eos) => {}
                 (Frame::Barrier(a), Frame::Barrier(b)) => assert_eq!(a, b),
                 other => panic!("{other:?}"),
             }

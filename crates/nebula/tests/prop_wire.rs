@@ -105,12 +105,13 @@ proptest! {
     fn control_frames_round_trip(wm in i64::MIN..i64::MAX) {
         let reg = WireRegistry::new();
         let s = schema();
-        for frame in [Frame::Watermark(wm), Frame::Eos, Frame::Handoff] {
+        for frame in [Frame::Watermark(wm), Frame::Eos, Frame::Barrier(wm.unsigned_abs())] {
             let bytes = encode_frame(&frame, &s, &reg).expect("encode");
             let back = decode_frame(&bytes, &s, &reg).expect("decode");
             match (&frame, &back) {
                 (Frame::Watermark(a), Frame::Watermark(b)) => prop_assert_eq!(a, b),
-                (Frame::Eos, Frame::Eos) | (Frame::Handoff, Frame::Handoff) => {}
+                (Frame::Eos, Frame::Eos) => {}
+                (Frame::Barrier(a), Frame::Barrier(b)) => prop_assert_eq!(a, b),
                 other => prop_assert!(false, "{:?}", other),
             }
         }

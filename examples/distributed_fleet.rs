@@ -9,7 +9,7 @@
 //! partials cross the cellular uplink. The run reports measured
 //! per-link traffic and the uplink reduction versus shipping everything
 //! to the cloud — then a second run kills an edge box mid-stream and
-//! re-plans, with results provably unchanged.
+//! recovers from its checkpoints, with results provably unchanged.
 //!
 //! ```text
 //! cargo run --release --example distributed_fleet
@@ -137,7 +137,7 @@ fn main() -> nebula::Result<()> {
     );
 
     // Failure drill: one train's stream, its edge box dies mid-run.
-    println!("\nfailure drill: killing train-0's edge box after 10 batches...");
+    println!("\nfailure drill: killing train-0's edge box after it handled 10 frames...");
     let (topo, sensors) = Topology::train_fleet(1);
     let edge_box = topo
         .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
@@ -169,18 +169,16 @@ fn main() -> nebula::Result<()> {
         },
     );
     let (mut sink, failed_results) = CollectingSink::new();
-    let report = env.run_placed_with_failure(
-        &query,
-        PlacementStrategy::EdgeFirst,
-        FailureInjection {
-            node: edge_box,
-            after_batches: 10,
-        },
-        &mut sink,
-    )?;
+    // A fault plan whose only fault is the crash: checkpointed recovery
+    // re-plans around the dead box, restores and replays.
+    let plan = FaultPlan::seeded(1).crash_node(edge_box, 10);
+    let report = env.run_placed_chaos(&query, PlacementStrategy::EdgeFirst, &plan, &mut sink)?;
     println!(
-        "  re-planned {} round(s), migrated {} stage(s); {} windows delivered",
-        report.cluster.replans, report.cluster.migrated_stages, report.metrics.records_out
+        "  re-planned {} round(s), migrated {} stage(s), {} checkpoint(s); {} windows delivered",
+        report.cluster.replans,
+        report.cluster.migrated_stages,
+        report.cluster.checkpoints_taken,
+        report.metrics.records_out
     );
 
     // Reference: the same stream without the failure.
@@ -204,14 +202,14 @@ fn main() -> nebula::Result<()> {
     normalize_records(&mut a);
     normalize_records(&mut b);
     assert_eq!(a, b, "failure re-planning must not change results");
-    println!("  results identical to an undisturbed run — state migrated losslessly");
+    println!("  results identical to an undisturbed run — state restored and replayed");
 
     // Chaos drill: the hostile version of the same failover. Seeded
     // faults mangle every link — drops, duplicates, reordering, bit
-    // corruption — and the edge box dies abruptly mid-batch, with no
-    // cooperative handoff. CRC envelopes, ack/retransmit, barrier
-    // checkpoints and source replay must make all of it invisible.
-    println!("\nchaos drill: lossy links + abrupt edge kill after 4 batches (seed 41)...");
+    // corruption — while the edge box dies abruptly mid-batch. CRC
+    // envelopes, ack/retransmit, barrier checkpoints and source replay
+    // must make all of it invisible.
+    println!("\nchaos drill: lossy links + abrupt edge kill after 4 frames (seed 41)...");
     let (mut env, _) = fleet_env(&records);
     let edge_box = env
         .topology()

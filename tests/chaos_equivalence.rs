@@ -436,61 +436,32 @@ fn multi_source_chaos_crash_equivalence() {
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
     assert_eq!(report.cluster.replans, 1);
-}
-
-/// Regression for the lifted single-source restriction: plain failure
-/// injection (pause-and-migrate, no chaos) now works with several
-/// hosted sources.
-#[test]
-fn multi_source_failure_injection_equivalence() {
-    let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, generous_watermark());
-
-    let (topo, sensors) = Topology::train_fleet(3);
-    let failed = topo
-        .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
-        .expect("edge exists");
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records()
-            .into_iter()
-            .filter(|r| (r.get(1).unwrap().as_int().unwrap() as usize) % sensors.len() == t)
-            .collect();
-        env.add_source(
-            "s",
-            *sensor,
-            Box::new(VecSource::new(schema(), slice)),
-            generous_watermark(),
-        );
-    }
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed_with_failure(
-            &q,
-            PlacementStrategy::EdgeFirst,
-            FailureInjection {
-                node: failed,
-                after_batches: 3,
-            },
-            &mut sink,
-        )
-        .expect("multi-source failure run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    assert_eq!(recs, reference, "multi-source failure run diverges");
-    assert_eq!(report.metrics.records_in, ref_metrics.records_in);
-    assert_eq!(report.metrics.records_out, ref_metrics.records_out);
-    assert_eq!(report.cluster.replans, 1);
     for pl in &report.placements {
         assert!(!pl.stages.contains(&failed), "stage still on failed node");
     }
+}
+
+/// A crash-only plan injects exactly one fault — the crash — and the
+/// counters say so: no link faults, so nothing to retransmit.
+#[test]
+fn crash_only_plan_counts_the_crash() {
+    let q = splittable_window_query();
+    let (reference, _) = sync_reference(&q, generous_watermark());
+    let (env, sensor) = fleet_env(generous_watermark());
+    let plan = FaultPlan::seeded(1).crash_node(edge_node(&env, sensor), 3);
+    drop(env);
+    let (got, report) = chaos_run(
+        &q,
+        PlacementStrategy::EdgeFirst,
+        generous_watermark(),
+        &plan,
+    );
+    assert_eq!(got, reference, "crash-only run diverges");
+    let c = &report.cluster;
+    assert_eq!(c.crashes, 1, "{c:?}");
+    assert_eq!(c.faults_injected, 1, "the crash is the only fault: {c:?}");
+    assert_eq!(c.replans, 1, "{c:?}");
+    assert_eq!(c.retransmits, 0, "clean links retransmit nothing: {c:?}");
 }
 
 /// Ineligible fault plans fail fast with every offending node named,
@@ -546,5 +517,6 @@ fn clean_runs_report_no_chaos_metrics() {
     assert_eq!(c.duplicates_suppressed, 0);
     assert_eq!(c.checkpoints_taken, 0);
     assert_eq!(c.faults_injected, 0);
+    assert_eq!(c.crashes, 0);
     assert_eq!(c.recovery_ms, 0.0);
 }

@@ -1,13 +1,13 @@
 //! Differential cluster-equivalence suite: every query shape the engine
 //! supports is run through `ClusterEnvironment::run_placed` on the
 //! `train_fleet` topology — under both placement strategies, over
-//! in-order and jittered feeds, and with a node failure re-planned
+//! in-order and jittered feeds, and with a node crash recovered
 //! mid-run — and must produce order-normalized results and
 //! `records_in`/`records_out` counters identical to the single-threaded
 //! `StreamEnvironment::run` reference. The distributed runtime is only
 //! correct if crossing node boundaries (wire encoding, bounded link
-//! channels, cross-boundary watermarks, edge pre-aggregation, state
-//! migration) is observationally invisible.
+//! channels, cross-boundary watermarks, edge pre-aggregation, crash
+//! recovery) is observationally invisible.
 //!
 //! Beyond equivalence, the suite asserts the paper's headline number
 //! from measured traffic: an edge-placed pre-aggregating windowed query
@@ -98,15 +98,12 @@ fn cluster_run(
     strategy: PlacementStrategy,
     feed: Feed,
     watermark: WatermarkStrategy,
-    failure: Option<FailureInjection>,
 ) -> (Vec<Record>, ClusterReport) {
     let (mut env, _) = fleet_env(feed, watermark);
     let (mut sink, got) = CollectingSink::new();
-    let report = match failure {
-        None => env.run_placed(query, strategy, &mut sink),
-        Some(f) => env.run_placed_with_failure(query, strategy, f, &mut sink),
-    }
-    .unwrap_or_else(|e| panic!("{strategy:?}/{feed:?} cluster run failed: {e}"));
+    let report = env
+        .run_placed(query, strategy, &mut sink)
+        .unwrap_or_else(|e| panic!("{strategy:?}/{feed:?} cluster run failed: {e}"));
     let mut recs = got.records();
     normalize_records(&mut recs);
     (recs, report)
@@ -116,7 +113,7 @@ fn cluster_run(
 fn assert_cluster_equivalent(name: &str, query: &Query, feed: Feed, watermark: &WatermarkStrategy) {
     let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
     for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let (got, report) = cluster_run(query, strategy, feed, watermark.clone(), None);
+        let (got, report) = cluster_run(query, strategy, feed, watermark.clone());
         assert_eq!(
             got, reference,
             "{name}: {strategy:?}/{feed:?} diverges from sync reference"
@@ -146,30 +143,34 @@ fn edge_node(env: &ClusterEnvironment, sensor: NodeId) -> NodeId {
         .expect("edge exists")
 }
 
+/// A plan whose only fault is killing `node` after it handled
+/// `after_frames` frames: a plain mid-run node failure.
+fn crash_only(node: NodeId, after_frames: u64) -> FaultPlan {
+    FaultPlan::seeded(1).crash_node(node, after_frames)
+}
+
 /// Mid-run failure of the edge box must be invisible in the results:
-/// state migrates losslessly to the cloud at a quiesced handoff point.
+/// recovery re-plans around the dead box, restores the newest
+/// checkpoint and replays the source.
 fn assert_failure_equivalent(name: &str, query: &Query, watermark: &WatermarkStrategy) {
     let (reference, ref_metrics) = sync_reference(query, Feed::InOrder, watermark.clone());
-    for after_batches in [0, 3, 11] {
+    for after_frames in [0, 3, 11] {
         let (mut env, sensor) = fleet_env(Feed::InOrder, watermark.clone());
         let failed = edge_node(&env, sensor);
         let (mut sink, got) = CollectingSink::new();
         let report = env
-            .run_placed_with_failure(
+            .run_placed_chaos(
                 query,
                 PlacementStrategy::EdgeFirst,
-                FailureInjection {
-                    node: failed,
-                    after_batches,
-                },
+                &crash_only(failed, after_frames),
                 &mut sink,
             )
-            .unwrap_or_else(|e| panic!("{name}: failure run (after {after_batches}): {e}"));
+            .unwrap_or_else(|e| panic!("{name}: failure run (after {after_frames}): {e}"));
         let mut recs = got.records();
         normalize_records(&mut recs);
         assert_eq!(
             recs, reference,
-            "{name}: results diverge after failing the edge at batch {after_batches}"
+            "{name}: results diverge after failing the edge at frame {after_frames}"
         );
         assert_eq!(report.metrics.records_in, ref_metrics.records_in, "{name}");
         assert_eq!(
@@ -245,7 +246,6 @@ fn tumbling_window_cluster_equivalence() {
         PlacementStrategy::EdgeFirst,
         Feed::InOrder,
         generous_watermark(),
-        None,
     );
     assert!(report.cluster.preaggregated, "avg splits via (sum, count)");
     assert_cluster_equivalent_both_feeds("tumbling", &q, &generous_watermark());
@@ -308,7 +308,6 @@ fn unsplittable_custom_window_cluster_equivalence() {
         PlacementStrategy::EdgeFirst,
         Feed::InOrder,
         generous_watermark(),
-        None,
     );
     assert!(!report.cluster.preaggregated, "split must not engage");
     assert_cluster_equivalent("unsplittable", &q, Feed::InOrder, &generous_watermark());
@@ -323,7 +322,6 @@ fn splittable_window_cluster_equivalence() {
         PlacementStrategy::EdgeFirst,
         Feed::InOrder,
         generous_watermark(),
-        None,
     );
     assert!(report.cluster.preaggregated, "split must engage");
     assert_cluster_equivalent_both_feeds("splittable", &q, &generous_watermark());
@@ -506,15 +504,9 @@ fn failure_replanning_mid_run_equivalence() {
 fn edge_preaggregation_cuts_measured_uplink_bytes() {
     let q = splittable_window_query();
     let wm = generous_watermark();
-    let (edge_recs, edge) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        wm.clone(),
-        None,
-    );
-    let (cloud_recs, cloud) =
-        cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm, None);
+    let (edge_recs, edge) =
+        cluster_run(&q, PlacementStrategy::EdgeFirst, Feed::InOrder, wm.clone());
+    let (cloud_recs, cloud) = cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm);
     assert_eq!(edge_recs, cloud_recs, "strategies agree on results");
     assert!(edge.cluster.preaggregated);
     assert!(!cloud.cluster.preaggregated);
@@ -539,29 +531,36 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
 
     // Uplink classification happens at send time: after a mid-run edge
     // failure re-attaches the sensors to the cloud, the pre-failure
-    // onboard-bus traffic must not be re-labelled as uplink traffic —
-    // a failure run can never report more uplink bytes than shipping
-    // the whole raw stream cloud-only.
+    // onboard-bus traffic must not be re-labelled as uplink traffic.
+    // `fail_node` re-points the bus link into the cloud, so summing the
+    // links that point into the cloud after the run counts that bus
+    // traffic; the uplink total must stay strictly below it.
     let (mut env, sensor) = fleet_env(Feed::InOrder, generous_watermark());
     let failed = edge_node(&env, sensor);
     let (mut sink, _) = CollectingSink::new();
     let failure_report = env
-        .run_placed_with_failure(
+        .run_placed_chaos(
             &q,
             PlacementStrategy::EdgeFirst,
-            FailureInjection {
-                node: failed,
-                after_batches: 3,
-            },
+            &crash_only(failed, 3),
             &mut sink,
         )
         .expect("failure run");
+    let topo = env.topology();
+    let into_cloud: u64 = topo
+        .links()
+        .iter()
+        .zip(&failure_report.cluster.links)
+        .filter(|(l, _)| topo.node(l.to).kind == NodeKind::Cloud)
+        .map(|(_, m)| m.bytes)
+        .sum();
     assert!(
-        failure_report.cluster.uplink_bytes < cloud.cluster.uplink_bytes,
-        "failure-run uplink {} must stay below cloud-only {} (bus bytes \
-         must not be re-labelled as uplink after re-attachment)",
+        failure_report.cluster.uplink_bytes < into_cloud,
+        "failure-run uplink {} must stay below the {} bytes on links now \
+         pointing into the cloud (bus bytes must not be re-labelled as \
+         uplink after re-attachment)",
         failure_report.cluster.uplink_bytes,
-        cloud.cluster.uplink_bytes
+        into_cloud
     );
 }
 
@@ -934,15 +933,9 @@ fn avg_query_preaggregates_and_cuts_uplink() {
         ],
     );
     let wm = generous_watermark();
-    let (edge_recs, edge) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        wm.clone(),
-        None,
-    );
-    let (cloud_recs, cloud) =
-        cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm, None);
+    let (edge_recs, edge) =
+        cluster_run(&q, PlacementStrategy::EdgeFirst, Feed::InOrder, wm.clone());
+    let (cloud_recs, cloud) = cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm);
     assert_eq!(edge_recs, cloud_recs, "strategies agree on avg results");
     assert!(edge.cluster.preaggregated, "avg splits at the edge");
     assert!(!cloud.cluster.preaggregated);
@@ -1105,7 +1098,7 @@ fn cluster_run_cfg(
     watermark: WatermarkStrategy,
     buffer_size: usize,
     columnar: ColumnarMode,
-    failure: Option<FailureInjection>,
+    crash: Option<&FaultPlan>,
 ) -> (Vec<Record>, ClusterReport) {
     let (topo, sensors) = Topology::train_fleet(3);
     let mut env = ClusterEnvironment::with_config(
@@ -1119,9 +1112,9 @@ fn cluster_run_cfg(
     );
     env.add_source("s", sensors[0], source(feed), watermark);
     let (mut sink, got) = CollectingSink::new();
-    let report = match failure {
+    let report = match crash {
         None => env.run_placed(query, strategy, &mut sink),
-        Some(f) => env.run_placed_with_failure(query, strategy, f, &mut sink),
+        Some(plan) => env.run_placed_chaos(query, strategy, plan, &mut sink),
     }
     .unwrap_or_else(|e| {
         panic!("{strategy:?}/{feed:?}/batch={buffer_size}/{columnar:?} cluster run failed: {e}")
@@ -1189,12 +1182,12 @@ fn batched_splittable_window_cluster_equivalence() {
 
 #[test]
 fn batched_failure_replanning_equivalence() {
-    // Mid-run edge failure under forced-columnar execution: migration
-    // snapshots window state after buffers were absorbed columnar-side,
-    // and the re-planned cloud chain continues from it losslessly.
+    // Mid-run edge failure under forced-columnar execution: checkpoints
+    // snapshot window state after buffers were absorbed columnar-side,
+    // and the re-planned cloud chain restores and replays from them.
     let q = splittable_window_query();
     let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, generous_watermark());
-    for after_batches in [0, 3, 11] {
+    for after_frames in [0, 3, 11] {
         let (topo, sensors) = Topology::train_fleet(3);
         let failed = {
             let probe = ClusterEnvironment::new(topo.clone());
@@ -1210,14 +1203,11 @@ fn batched_failure_replanning_equivalence() {
             generous_watermark(),
             32,
             ColumnarMode::Force,
-            Some(FailureInjection {
-                node: failed,
-                after_batches,
-            }),
+            Some(&crash_only(failed, after_frames)),
         );
         assert_eq!(
             got, reference,
-            "columnar failure run diverges (failed at batch {after_batches})"
+            "columnar failure run diverges (failed at frame {after_frames})"
         );
         assert_eq!(report.metrics.records_in, ref_metrics.records_in);
         assert_eq!(report.metrics.records_out, ref_metrics.records_out);
