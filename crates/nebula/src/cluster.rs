@@ -85,10 +85,10 @@ use crate::preagg::{split_window, SplitWindow, WindowMergeOp, WindowPartialOp};
 use crate::query::{compile_ops, LogicalOp, Query};
 use crate::record::{RecordBuffer, StreamMessage};
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
-use crate::runtime::{resolve_ts_col, ProgressTracker};
+use crate::runtime::{drive, resolve_ts_col, Ingest, Polled, ProgressTracker};
 use crate::schema::SchemaRef;
 use crate::sink::{merge_partitions, Sink};
-use crate::source::{ReplaySource, Source, SourceBatch, WatermarkStrategy};
+use crate::source::{ReplaySource, Source, WatermarkStrategy};
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, NodeSnapshot, QueryReport,
     TelemetryConfig, TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
@@ -568,22 +568,24 @@ impl ClusterEnvironment {
             } else {
                 h.source
             };
+            let mut ingest = Ingest::new(
+                source,
+                h.watermark,
+                ts_cols[p],
+                p as u64,
+                self.config.buffer_size,
+                self.config.watermark_every.max(1),
+                self.config.idle_limit,
+            );
+            ingest.schema = schema.clone();
             pipelines.push(PipelinePlan {
                 node: h.node,
                 assign,
                 pump: PumpState {
-                    source,
-                    watermark: h.watermark,
-                    ts_col: ts_cols[p],
-                    schema: schema.clone(),
+                    ingest,
                     ops: group0,
-                    max_ts: EventTime::MIN,
-                    batches: 0,
-                    idle: 0,
                     stats: QueryMetrics::default(),
                     eos_sent: false,
-                    origin: p as u64,
-                    progress: ProgressTracker::new(),
                     node_name: self.topo.node(h.node).name.clone(),
                     sent_records: 0,
                     snap_seq: 0,
@@ -748,16 +750,9 @@ impl ClusterEnvironment {
                             let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
                             pipe.pump.ops = group0;
                             pipe.sites = sites;
-                            pipe.pump.batches = pp.batches;
-                            pipe.pump.max_ts = pp.max_ts;
                             pipe.pump.stats = pp.stats;
-                            pipe.pump.idle = 0;
                             pipe.pump.eos_sent = false;
-                            // Replay re-derives pump-local punctuation
-                            // from scratch; a stale tracker would dedup
-                            // the re-observed sequences.
-                            pipe.pump.progress = ProgressTracker::new();
-                            if !pipe.pump.source.rewind(pp.batches as usize) {
+                            if !pipe.pump.ingest.rewind(pp.batches, pp.max_ts) {
                                 return Err(internal("chaos source lost its replay log"));
                             }
                         }
@@ -814,13 +809,9 @@ impl ClusterEnvironment {
                             let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
                             pipe.pump.ops = group0;
                             pipe.sites = sites;
-                            pipe.pump.batches = 0;
-                            pipe.pump.max_ts = EventTime::MIN;
                             pipe.pump.stats = QueryMetrics::default();
-                            pipe.pump.idle = 0;
                             pipe.pump.eos_sent = false;
-                            pipe.pump.progress = ProgressTracker::new();
-                            if !pipe.pump.source.rewind(0) {
+                            if !pipe.pump.ingest.rewind(0, EventTime::MIN) {
                                 return Err(internal("chaos source lost its replay log"));
                             }
                         }
@@ -1382,25 +1373,6 @@ impl RxLink {
     }
 }
 
-/// Pushes one message through a sub-chain, returning the terminal
-/// messages in order (what crosses to the next site).
-fn drive(ops: &mut [Box<dyn Operator>], first: StreamMessage) -> Result<Vec<StreamMessage>> {
-    let mut cur = vec![first];
-    let mut next: Vec<StreamMessage> = Vec::new();
-    for op in ops.iter_mut() {
-        for msg in cur.drain(..) {
-            match msg {
-                StreamMessage::Data(b) => op.process(b, &mut next)?,
-                StreamMessage::Columnar(b) => op.process_columnar(b, &mut next)?,
-                StreamMessage::Watermark(w) => op.on_watermark(w, &mut next)?,
-                StreamMessage::Eos => op.on_eos(&mut next)?,
-            }
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    Ok(cur)
-}
-
 /// Encodes and forwards terminal messages downstream.
 fn forward(
     msgs: Vec<StreamMessage>,
@@ -1957,25 +1929,17 @@ fn run_cloud_chaos(
 
 /// One pipeline's source-side state, preserved across phases.
 struct PumpState {
-    source: Box<dyn Source>,
-    watermark: WatermarkStrategy,
-    ts_col: Option<usize>,
-    schema: SchemaRef,
+    /// The source, its watermark generator and the pump-local progress
+    /// over the source's per-buffer punctuation, whose frontier is what
+    /// crosses the wire as `Frame::Watermark`. The pipeline index is
+    /// the punctuation origin stamped on every buffer.
+    ingest: Ingest,
     /// Stages placed on the source node, driven on the pump thread.
     ops: Vec<Box<dyn Operator>>,
-    max_ts: EventTime,
-    batches: u64,
-    idle: u64,
     stats: QueryMetrics,
     /// This pipeline's stream already ended (its Eos reached the
     /// cloud); later phases spawn nothing for it.
     eos_sent: bool,
-    /// This pipeline's index — the punctuation origin stamped on every
-    /// buffer it emits.
-    origin: u64,
-    /// Pump-local progress over the source's per-buffer punctuation;
-    /// its frontier is what crosses the wire as `Frame::Watermark`.
-    progress: ProgressTracker,
     /// The hosting topology node's name, stamped on telemetry
     /// snapshots this pump ships.
     node_name: String,
@@ -2023,9 +1987,9 @@ impl PumpChaos {
     }
 }
 
-/// Polls the source, drives the source-node stages, generates
-/// watermarks, and pushes frames downstream — mirroring
-/// `StreamEnvironment::run`'s ingest loop, then flushes end-of-stream.
+/// Runs the shared ingest loop on the pump thread: drives the
+/// source-node stages and pushes frames downstream — the watermark
+/// frame carries the ingest's frontier — then flushes end-of-stream.
 fn pump(
     st: &mut PumpState,
     tx: &mut TxLink,
@@ -2036,12 +2000,11 @@ fn pump(
     let out_schema = st
         .ops
         .last()
-        .map_or_else(|| st.schema.clone(), |o| o.output_schema());
-    let watermark_every = cfg.watermark_every.max(1);
+        .map_or_else(|| st.ingest.schema.clone(), |o| o.output_schema());
     // Columnar only pays off when a local stage consumes the buffer;
     // with no source-node stages the frame converts straight back to
     // rows at the wire, so skip the round-trip.
-    let columnar = crate::runtime::chain_wants_columnar(cfg.columnar, &st.ops);
+    st.ingest.columnar = crate::runtime::chain_wants_columnar(cfg.columnar, &st.ops);
     let started = Instant::now();
     let mut last_snap = Instant::now();
     loop {
@@ -2050,93 +2013,68 @@ fn pump(
                 return Err(ClusterError::Aborted.into());
             }
         }
-        match st.source.poll(cfg.buffer_size)? {
-            SourceBatch::Data(recs) => {
-                st.idle = 0;
-                st.batches += 1;
-                st.stats.batches += 1;
-                st.stats.records_in += recs.len() as u64;
-                let (msg, punctuation) = crate::runtime::make_data_message(
-                    &st.schema,
-                    recs,
-                    columnar,
-                    st.ts_col,
-                    st.origin,
-                    st.batches,
-                    &st.watermark,
-                    watermark_every,
-                    &mut st.max_ts,
-                );
-                st.stats.bytes_in += msg.data_bytes() as u64;
-                let msgs = drive(&mut st.ops, msg)?;
-                st.sent_records += records_of(&msgs);
-                forward(msgs, &out_schema, wire, tx)?;
-                // The per-buffer punctuation stamp is the source of
-                // truth; the wire watermark is the pump tracker's
-                // frontier over it. Every sequence feeds the tracker —
-                // unpunctuated buffers close gaps — but only punctuated
-                // ones emit.
-                st.progress.observe(st.origin, st.batches, punctuation);
-                if punctuation.is_some() {
-                    if let Some(w) = st.progress.frontier() {
-                        st.stats.watermarks += 1;
-                        let msgs = drive(&mut st.ops, StreamMessage::Watermark(w))?;
-                        st.sent_records += records_of(&msgs);
-                        forward(msgs, &out_schema, wire, tx)?;
-                    }
-                }
-                if cfg.telemetry.enabled && last_snap.elapsed() >= cfg.telemetry.sample_every {
-                    // Ship a node snapshot downstream; it rides the
-                    // same route (and, in chaos mode, the same
-                    // resilient link) as the data it describes.
-                    st.snap_seq += 1;
-                    let snap = NodeSnapshot {
-                        origin: st.origin,
-                        node: st.node_name.clone(),
-                        seq: st.snap_seq,
-                        at_us: started.elapsed().as_micros() as u64,
-                        records_in: st.stats.records_in,
-                        records_out: st.sent_records,
-                        queue_depth: tx.queue_depth(),
-                        frontier: st.progress.frontier(),
-                        frontier_lag_us: st.progress.frontier_lag_us(),
-                    };
-                    tx.send(encode_frame(&Frame::Telemetry(snap), &out_schema, wire)?, 0)?;
-                    last_snap = Instant::now();
-                }
-                if let Some(c) = chaos {
-                    c.check_doom()?;
-                    if st.batches.is_multiple_of(c.every) {
-                        // Snapshot the pump's cut and send the barrier
-                        // after it: everything up to `batches` is ahead
-                        // of the marker on every downstream link.
-                        let epoch = st.batches / c.every;
-                        c.store.put_pump(
-                            epoch,
-                            c.pipe,
-                            PumpPart {
-                                ops: snapshot_chain(&st.ops),
-                                batches: st.batches,
-                                max_ts: st.max_ts,
-                                stats: st.stats.clone(),
-                            },
-                        );
-                        tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, wire)?, 0)?;
-                    }
-                }
-            }
-            SourceBatch::Idle => {
-                st.idle += 1;
-                if st.idle > cfg.idle_limit {
-                    break;
-                }
-                if chaos.is_some() && st.idle.is_multiple_of(1024) {
+        let (msg, frontier) = match st.ingest.poll()? {
+            Polled::Data(msg, frontier) => (msg, frontier),
+            Polled::Idle => {
+                if chaos.is_some() && st.ingest.idle.is_multiple_of(1024) {
                     // Keep a quiet link observably alive.
                     tx.heartbeat()?;
                 }
-                std::thread::yield_now();
+                continue;
             }
-            SourceBatch::Exhausted => break,
+            Polled::End => break,
+        };
+        st.stats.batches += 1;
+        st.stats.records_in += msg.record_count() as u64;
+        st.stats.bytes_in += msg.data_bytes() as u64;
+        let msgs = drive(&mut st.ops, msg)?;
+        st.sent_records += records_of(&msgs);
+        forward(msgs, &out_schema, wire, tx)?;
+        if let Some(w) = frontier {
+            st.stats.watermarks += 1;
+            let msgs = drive(&mut st.ops, StreamMessage::Watermark(w))?;
+            st.sent_records += records_of(&msgs);
+            forward(msgs, &out_schema, wire, tx)?;
+        }
+        if cfg.telemetry.enabled && last_snap.elapsed() >= cfg.telemetry.sample_every {
+            // Ship a node snapshot downstream; it rides the same route
+            // (and, in chaos mode, the same resilient link) as the data
+            // it describes.
+            st.snap_seq += 1;
+            let snap = NodeSnapshot {
+                origin: st.ingest.origin,
+                node: st.node_name.clone(),
+                seq: st.snap_seq,
+                at_us: started.elapsed().as_micros() as u64,
+                records_in: st.stats.records_in,
+                records_out: st.sent_records,
+                queue_depth: tx.queue_depth(),
+                frontier: st.ingest.progress.frontier(),
+                frontier_lag_us: st.ingest.progress.frontier_lag_us(),
+            };
+            tx.send(encode_frame(&Frame::Telemetry(snap), &out_schema, wire)?, 0)?;
+            last_snap = Instant::now();
+        }
+        if let Some(c) = chaos {
+            c.check_doom()?;
+            let batches = st.ingest.batches;
+            if batches.is_multiple_of(c.every) {
+                // Snapshot the pump's cut and send the barrier after it:
+                // everything up to `batches` is ahead of the marker on
+                // every downstream link.
+                let epoch = batches / c.every;
+                c.store.put_pump(
+                    epoch,
+                    c.pipe,
+                    PumpPart {
+                        ops: snapshot_chain(&st.ops),
+                        batches,
+                        max_ts: st.ingest.max_ts,
+                        stats: st.stats.clone(),
+                    },
+                );
+                tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, wire)?, 0)?;
+            }
         }
     }
     let msgs = drive(&mut st.ops, StreamMessage::Eos)?;
@@ -2217,7 +2155,7 @@ fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
     let last_ops = p.sites.last().map(|(_, ops)| ops).unwrap_or(&p.pump.ops);
     last_ops
         .last()
-        .map_or_else(|| p.pump.schema.clone(), |o| o.output_schema())
+        .map_or_else(|| p.pump.ingest.schema.clone(), |o| o.output_schema())
 }
 
 /// Spawns the sites and cloud for every pipeline, runs the pumps, and
@@ -2344,7 +2282,7 @@ fn run_phase(
             let mut in_schema = pump_state
                 .ops
                 .last()
-                .map_or_else(|| pump_state.schema.clone(), |o| o.output_schema());
+                .map_or_else(|| pump_state.ingest.schema.clone(), |o| o.output_schema());
             let mut handles = Vec::with_capacity(n_sites);
             for (i, (site_node, ops)) in taken.into_iter().enumerate() {
                 let out_tx = if i + 1 < n_sites {

@@ -253,6 +253,11 @@ pub(crate) enum RxEvent {
 /// deduplication, in-order reassembly, cumulative acks.
 pub(crate) struct ReliableRx {
     expected: u64,
+    /// The gap most recently NACKed: later out-of-order arrivals behind
+    /// the same gap do not NACK it again (the sender retransmits once
+    /// per NACK), and a lost retransmission is recovered by the
+    /// sender's probe.
+    nacked: Option<u64>,
     buffered: BTreeMap<u64, Vec<u8>>,
     ack_tx: Sender<AckMsg>,
     stats: Arc<ChaosStats>,
@@ -263,6 +268,7 @@ impl ReliableRx {
     pub fn new(ack_tx: Sender<AckMsg>, stats: Arc<ChaosStats>) -> Self {
         ReliableRx {
             expected: 0,
+            nacked: None,
             buffered: BTreeMap::new(),
             ack_tx,
             stats,
@@ -279,7 +285,7 @@ impl ReliableRx {
             Ok(env) => env,
             Err(_) => {
                 self.stats.corrupt_dropped.fetch_add(1, atomic_relaxed());
-                self.send_ctl(AckMsg::Nack(self.expected));
+                self.nack();
                 return RxEvent::Control;
             }
         };
@@ -290,7 +296,7 @@ impl ReliableRx {
             // nothing is missing (the last ack may have been dropped).
             if env.kind == ENV_HEARTBEAT {
                 if env.seq > self.expected {
-                    self.send_ctl(AckMsg::Nack(self.expected));
+                    self.nack();
                 } else if self.expected > 0 {
                     self.send_ctl(AckMsg::Ack(self.expected - 1));
                 }
@@ -317,7 +323,9 @@ impl ReliableRx {
                         .duplicates_suppressed
                         .fetch_add(1, atomic_relaxed());
                 }
-                self.send_ctl(AckMsg::Nack(self.expected));
+                if self.nacked != Some(self.expected) {
+                    self.nack();
+                }
                 RxEvent::Control
             }
         }
@@ -349,6 +357,12 @@ impl ReliableRx {
         }
     }
 
+    /// Requests retransmission of the first missing sequence.
+    fn nack(&mut self) {
+        self.nacked = Some(self.expected);
+        self.send_ctl(AckMsg::Nack(self.expected));
+    }
+
     fn send_ctl(&self, msg: AckMsg) {
         // Acks are cumulative and nacks are re-issued on the next gap:
         // a full reverse channel can safely drop either.
@@ -366,18 +380,16 @@ mod tests {
     use crate::chaos::FaultPlan;
     use crate::wire::{crc32, ENVELOPE_OVERHEAD};
     use crossbeam::channel::bounded;
-    use std::collections::VecDeque;
     use std::sync::Arc;
 
     /// Drives `n` payloads through a chaos-lossy loopback link and
-    /// asserts exactly-once, in-order delivery. Single-threaded, so the
-    /// flush is driven as explicit retransmission rounds interleaved
-    /// with receiver drains (a blocking [`ReliableTx::flush`] would
-    /// starve its own receiver here): each round probes, and the NACK
-    /// the probe draws triggers the retransmission.
+    /// asserts exactly-once, in-order delivery. Single-threaded: every
+    /// transmission reaches the receiver at once, like a peer thread
+    /// that is always ready, so the sender's own ack timeouts, probes
+    /// and NACK-driven retransmissions recover every loss, during sends
+    /// as in the final flush.
     fn loopback(plan: &FaultPlan, n: u32) -> (Vec<Vec<u8>>, Arc<ChaosStats>) {
         use std::cell::RefCell;
-        use std::rc::Rc;
         let stats = Arc::new(ChaosStats::default());
         let (ack_tx, ack_rx) = bounded::<AckMsg>(4096);
         let mut tx = ReliableTx::new(
@@ -386,47 +398,25 @@ mod tests {
             LinkChaos::new(plan, 7),
             Arc::clone(&stats),
         );
-        let mut rx = ReliableRx::new(ack_tx, Arc::clone(&stats));
-        let wire: Rc<RefCell<VecDeque<Vec<u8>>>> = Rc::new(RefCell::new(VecDeque::new()));
-        let mut delivered: Vec<Vec<u8>> = Vec::new();
-
-        let w = Rc::clone(&wire);
-        let mut emit = move |bytes: Vec<u8>, _records: u64| -> Result<()> {
-            w.borrow_mut().push_back(bytes);
-            Ok(())
-        };
-
-        let pump_rx = |rx: &mut ReliableRx, delivered: &mut Vec<Vec<u8>>| loop {
-            let Some(bytes) = wire.borrow_mut().pop_front() else {
-                break;
-            };
+        let rx = RefCell::new(ReliableRx::new(ack_tx, Arc::clone(&stats)));
+        let delivered: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
+        let mut emit = |bytes: Vec<u8>, _records: u64| -> Result<()> {
+            let mut rx = rx.borrow_mut();
+            let mut delivered = delivered.borrow_mut();
             if let RxEvent::Payload(p) = rx.on_bytes(&bytes) {
                 delivered.push(p);
             }
             while let Some(p) = rx.next_buffered() {
                 delivered.push(p);
             }
+            Ok(())
         };
-
         for i in 0..n {
             tx.send(&i.to_le_bytes(), 1, &mut emit).unwrap();
-            pump_rx(&mut rx, &mut delivered);
         }
-        if let Some(held) = tx.chaos.release() {
-            emit(held, 0).unwrap();
-            pump_rx(&mut rx, &mut delivered);
-        }
-        for _ in 0..10_000 {
-            tx.drain_acks(&mut emit).unwrap();
-            pump_rx(&mut rx, &mut delivered);
-            if tx.in_flight() == 0 {
-                break;
-            }
-            tx.heartbeat(&mut emit).unwrap();
-            pump_rx(&mut rx, &mut delivered);
-        }
+        tx.flush(&mut emit).unwrap();
         assert_eq!(tx.in_flight(), 0, "window drained");
-        (delivered, stats)
+        (delivered.into_inner(), stats)
     }
 
     #[test]
@@ -473,6 +463,20 @@ mod tests {
             RxEvent::Payload(p) => assert_eq!(p, b"hello"),
             RxEvent::Control => panic!("clean envelope must deliver"),
         }
+    }
+
+    #[test]
+    fn one_gap_draws_one_nack() {
+        let stats = Arc::new(ChaosStats::default());
+        let (ack_tx, ack_rx) = bounded::<AckMsg>(16);
+        let mut rx = ReliableRx::new(ack_tx, Arc::clone(&stats));
+        for seq in [0, 2, 3, 4, 5] {
+            rx.on_bytes(&encode_envelope(ENV_PAYLOAD, seq, b"x"));
+        }
+        let nacks = std::iter::from_fn(|| ack_rx.try_recv().ok())
+            .filter(|m| *m == AckMsg::Nack(1))
+            .count();
+        assert_eq!(nacks, 1, "sequence 1 is NACKed once, not per arrival");
     }
 
     #[test]

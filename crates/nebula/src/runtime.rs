@@ -2,19 +2,24 @@
 //! buffers through operator chains, tracks per-origin punctuated
 //! progress, and reports throughput metrics.
 //!
-//! Three execution modes:
-//! - [`StreamEnvironment::run`] — synchronous single-threaded loop
-//!   (deterministic; what the benchmarks measure),
-//! - [`StreamEnvironment::run_threaded`] — pipeline-parallel via a bounded
-//!   crossbeam channel between the source and the operator chain
-//!   (the shape of NebulaStream's worker threads),
-//! - [`StreamEnvironment::run_partitioned`] — data-parallel: buffers are
-//!   hash-partitioned by the plan's grouping key across
-//!   [`EnvConfig::parallelism`] partitions executed by a work-stealing
-//!   worker pool. Tasks complete out of order; an emission ledger
-//!   releases results in dispatch order once the progress frontier
-//!   passes them, so no end-of-run global sort is needed
-//!   (NebulaStream's task-based worker execution model).
+//! One ingest loop feeds two executors. The ingest polls the source,
+//! applies the idle limit, stamps each batch into a data buffer and
+//! folds its punctuation into the progress tracker; the cluster
+//! runtime's pumps run the same loop. The executors:
+//! - [`StreamEnvironment::run`] — inline: each buffer goes straight
+//!   through the operator chain into the sink on the caller thread
+//!   (deterministic; the reference every other mode is compared to),
+//! - a work-stealing worker pool: the caller thread polls the source
+//!   and routes each buffer to a partition queue, and any idle worker
+//!   may claim any partition with queued tasks. Tasks complete out of
+//!   order; an emission ledger releases results in dispatch order once
+//!   the progress frontier passes them, so no end-of-run global sort is
+//!   needed (NebulaStream's task-based worker execution model).
+//!   [`StreamEnvironment::run_threaded`] is the pool with one partition
+//!   — source and chain on separate threads, pipeline parallelism;
+//!   [`StreamEnvironment::run_partitioned`] hash-partitions buffers by
+//!   the plan's grouping key across [`EnvConfig::parallelism`]
+//!   partitions — data parallelism.
 //!
 //! Progress is *punctuated*: sources stamp every buffer with an
 //! origin/sequence/watermark header ([`crate::buffer::BufferMeta`]) and
@@ -25,13 +30,14 @@
 use crate::analysis::{
     self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry, Diagnostic,
 };
-use crate::buffer::TupleBuffer;
+use crate::buffer::{BufferMeta, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{BoundExpr, FunctionRegistry, Plugin};
 use crate::metrics::QueryMetrics;
 use crate::ops::{chain_late_drops, GroupKey};
 use crate::query::{compile, PartitionScheme, Query};
 use crate::record::{Record, RecordBuffer, StreamMessage};
+use crate::schema::SchemaRef;
 use crate::sink::{BufferSink, Sink};
 use crate::source::{Source, SourceBatch, WatermarkStrategy};
 use crate::telemetry::{
@@ -55,7 +61,10 @@ pub struct EnvConfig {
     /// Consecutive idle polls before the run gives up (prevents hangs on
     /// sources that never end).
     pub idle_limit: u64,
-    /// Channel capacity (buffers) for threaded execution.
+    /// Tasks one partition queue of the work-stealing pool
+    /// ([`StreamEnvironment::run_threaded`],
+    /// [`StreamEnvironment::run_partitioned`]) holds before the source
+    /// thread waits: the pool's backpressure cap.
     pub channel_capacity: usize,
     /// Worker count for partitioned execution
     /// ([`StreamEnvironment::run_partitioned`]).
@@ -109,7 +118,7 @@ impl Default for EnvConfig {
 }
 
 /// The origin id used by the single-source local execution modes.
-pub(crate) const LOCAL_ORIGIN: u64 = 0;
+const LOCAL_ORIGIN: u64 = 0;
 
 /// Per-origin state inside a [`ProgressTracker`].
 #[derive(Debug, Clone, Default)]
@@ -314,6 +323,156 @@ impl ProgressTracker {
     }
 }
 
+/// The one ingest loop body, shared by `run`, the work-stealing pool's
+/// router and every cluster pipeline's pump: polls the source, applies
+/// the idle limit, stamps each batch into a data buffer and folds the
+/// buffer's punctuation into the origin's progress tracker.
+pub(crate) struct Ingest {
+    source: Box<dyn Source>,
+    watermark: WatermarkStrategy,
+    pub(crate) schema: SchemaRef,
+    ts_col: Option<usize>,
+    /// Build columnar [`TupleBuffer`]s (see [`chain_wants_columnar`]).
+    pub(crate) columnar: bool,
+    buffer_size: usize,
+    watermark_every: u64,
+    idle_limit: u64,
+    /// The punctuation origin stamped on every buffer.
+    pub(crate) origin: u64,
+    /// Largest event time seen: the watermark generator's state.
+    pub(crate) max_ts: EventTime,
+    /// Data batches polled so far: the newest buffer's sequence.
+    pub(crate) batches: u64,
+    /// Consecutive idle polls.
+    pub(crate) idle: u64,
+    /// Progress over this origin's punctuation stamps.
+    pub(crate) progress: ProgressTracker,
+}
+
+/// What one [`Ingest::poll`] produced.
+pub(crate) enum Polled {
+    /// The next stamped data buffer, plus the frontier to feed after it
+    /// when the buffer carried a punctuation.
+    Data(StreamMessage, Option<EventTime>),
+    /// The source had nothing; the poll already yielded the thread.
+    Idle,
+    /// The source is exhausted, or stayed idle past the limit.
+    End,
+}
+
+impl Ingest {
+    /// An ingest over `source` for punctuation origin `origin`, building
+    /// row buffers until [`Self::columnar`] is set.
+    pub(crate) fn new(
+        source: Box<dyn Source>,
+        watermark: WatermarkStrategy,
+        ts_col: Option<usize>,
+        origin: u64,
+        buffer_size: usize,
+        watermark_every: u64,
+        idle_limit: u64,
+    ) -> Self {
+        Ingest {
+            schema: source.schema(),
+            source,
+            watermark,
+            ts_col,
+            columnar: false,
+            buffer_size,
+            watermark_every,
+            idle_limit,
+            origin,
+            max_ts: EventTime::MIN,
+            batches: 0,
+            idle: 0,
+            progress: ProgressTracker::new(),
+        }
+    }
+
+    /// Polls the source once. An idle poll yields the thread; more than
+    /// `idle_limit` consecutive ones end the stream. A data batch
+    /// becomes the next stamped buffer, and its punctuation stamp — not
+    /// a global clock — drives progress: every sequence feeds the
+    /// tracker (unpunctuated buffers close gaps), but only a punctuated
+    /// one returns the frontier.
+    pub(crate) fn poll(&mut self) -> Result<Polled> {
+        let recs = match self.source.poll(self.buffer_size)? {
+            SourceBatch::Data(recs) => recs,
+            SourceBatch::Idle => {
+                self.idle += 1;
+                if self.idle > self.idle_limit {
+                    return Ok(Polled::End);
+                }
+                std::thread::yield_now();
+                return Ok(Polled::Idle);
+            }
+            SourceBatch::Exhausted => return Ok(Polled::End),
+        };
+        self.idle = 0;
+        self.batches += 1;
+        let (msg, punctuation) = self.stamp(recs);
+        self.progress
+            .observe(self.origin, self.batches, punctuation);
+        Ok(Polled::Data(msg, punctuation.and(self.progress.frontier())))
+    }
+
+    /// Converts one polled batch into a data message — columnar when
+    /// [`Self::columnar`] is set — advancing the event-time clock.
+    /// Returns the message plus its punctuation: every
+    /// `watermark_every`-th sequence under
+    /// [`WatermarkStrategy::BoundedOutOfOrder`] promises `max_ts - slack`.
+    /// Columnar buffers carry origin/sequence/punctuation inline in their
+    /// [`crate::buffer::BufferMeta`] (the NebulaStream TupleBuffer
+    /// header); for row buffers the stamps ride the surrounding transport.
+    fn stamp(&mut self, recs: Vec<Record>) -> (StreamMessage, Option<EventTime>) {
+        let mut msg = if self.columnar {
+            let meta = BufferMeta {
+                origin: self.origin,
+                sequence: self.batches,
+                ..BufferMeta::default()
+            };
+            let mut tb = TupleBuffer::from_records(self.schema.clone(), &recs, meta);
+            if let Some(col) = self.ts_col {
+                tb.recompute_time_bounds(col);
+            }
+            StreamMessage::Columnar(tb)
+        } else {
+            StreamMessage::Data(RecordBuffer::new(self.schema.clone(), recs))
+        };
+        let punctuation = match &self.watermark {
+            WatermarkStrategy::BoundedOutOfOrder { slack, .. } => {
+                let newest = match (&msg, self.ts_col) {
+                    (StreamMessage::Columnar(tb), Some(_)) => tb.meta().max_ts,
+                    (StreamMessage::Data(buf), Some(col)) => buf.max_event_time(col),
+                    _ => None,
+                };
+                if let Some(t) = newest {
+                    self.max_ts = self.max_ts.max(t);
+                }
+                (self.batches.is_multiple_of(self.watermark_every) && self.max_ts != EventTime::MIN)
+                    .then(|| self.max_ts - *slack)
+            }
+            WatermarkStrategy::None => None,
+        };
+        if let StreamMessage::Columnar(tb) = &mut msg {
+            tb.meta_mut().watermark = punctuation;
+        }
+        (msg, punctuation)
+    }
+
+    /// Rewinds to a checkpoint cut taken after `batches` data batches
+    /// with watermark-generator state `max_ts`. Replay re-derives the
+    /// punctuation from scratch: a stale tracker would dedup the
+    /// re-observed sequences. False if the source cannot replay.
+    pub(crate) fn rewind(&mut self, batches: u64, max_ts: EventTime) -> bool {
+        self.batches = batches;
+        self.max_ts = max_ts;
+        self.idle = 0;
+        self.progress = ProgressTracker::new();
+        self.source.rewind(batches as usize)
+    }
+}
+
 /// A compiled chain of physical operators, executed in order.
 type OperatorChain = Vec<Box<dyn Operator>>;
 
@@ -419,12 +578,15 @@ impl StreamEnvironment {
             .insert(name.into(), RegisteredSource { source, watermark });
     }
 
+    fn source(&self, name: &str) -> Result<&RegisteredSource> {
+        self.sources
+            .get(name)
+            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{name}'")))
+    }
+
     /// Human-readable physical plan for a query.
     pub fn explain(&self, query: &Query) -> Result<String> {
-        let src = self
-            .sources
-            .get(query.source())
-            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
+        let src = self.source(query.source())?;
         let plan = compile(query, src.source.schema(), &self.registry)?;
         let mut s = format!("Source[{}] {}\n", query.source(), src.source.schema());
         for op in &plan.operators {
@@ -443,10 +605,7 @@ impl StreamEnvironment {
     /// it. The same pre-flight every run entry point performs; useful
     /// for inspecting diagnostics (including warnings) up front.
     pub fn analyze_for(&self, query: &Query, target: analysis::Target) -> Result<AnalysisReport> {
-        let src = self
-            .sources
-            .get(query.source())
-            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
+        let src = self.source(query.source())?;
         let ctx = AnalysisContext {
             target,
             watermarks: vec![src.watermark.clone()],
@@ -466,330 +625,135 @@ impl StreamEnvironment {
         self.analyze_for(query, analysis::Target::Local)
     }
 
-    /// Pre-flight + compile for `query` against the registered
-    /// (still-owned) source's schema. Analyzing and compiling *before*
-    /// [`Self::take_source`] means a rejected plan leaves the source
-    /// registered, so the caller can fix the query and run again.
-    /// Returns the analyzer's warnings for the telemetry report.
-    fn prepare(
-        &self,
+    /// Moves the query's source into an [`Ingest`] and starts the run's
+    /// telemetry: the prologue `run` and the pool share. Callers analyze
+    /// and compile first, and the event-time column resolves here before
+    /// the source is taken, so a rejected plan leaves the source
+    /// registered and the caller can fix the query and run again.
+    fn start_local(
+        &mut self,
         query: &Query,
-        target: analysis::Target,
-    ) -> Result<(Option<usize>, OperatorChain, Vec<Diagnostic>)> {
-        let warnings = self.analyze_for(query, target)?.into_accepted()?;
-        let src = self
-            .sources
-            .get(query.source())
-            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
-        let schema = src.source.schema();
-        let ts_col = resolve_ts_col(&src.watermark, &schema)?;
-        let plan = compile(query, schema, &self.registry)?;
-        Ok((ts_col, plan.operators, warnings))
+        columnar: bool,
+        chains: Vec<ChainTelemetry>,
+        warnings: Vec<Diagnostic>,
+        deployed: String,
+    ) -> Result<LocalRun> {
+        let src = self.source(query.source())?;
+        let ts_col = resolve_ts_col(&src.watermark, &src.source.schema())?;
+        let RegisteredSource { source, watermark } = self.take_source(query.source())?;
+        let cfg = &self.config;
+        let mut ingest = Ingest::new(
+            source,
+            watermark,
+            ts_col,
+            LOCAL_ORIGIN,
+            cfg.buffer_size,
+            cfg.watermark_every,
+            cfg.idle_limit,
+        );
+        ingest.columnar = columnar;
+        let trace = TraceRing::new(cfg.telemetry.max_events);
+        let tel_on = cfg.telemetry.enabled;
+        if tel_on {
+            trace.push(COORDINATOR_ORIGIN, TraceKind::QueryDeployed, deployed);
+        }
+        Ok(LocalRun {
+            ingest,
+            chains,
+            sampler: TelemetrySampler::new(&cfg.telemetry),
+            trace,
+            warnings,
+            tel_on,
+            start: Instant::now(),
+        })
+    }
+
+    /// The epilogue `run` and the pool share: finishes the sink, sums
+    /// the chains' late drops, folds in the ingest's frontier lag, takes
+    /// the final sample and keeps the telemetry report.
+    fn finish_local(
+        &mut self,
+        mut lr: LocalRun,
+        mode: &str,
+        sink: &mut dyn Sink,
+        mut metrics: QueryMetrics,
+        ops: &[OperatorChain],
+        stalls: u64,
+    ) -> Result<QueryMetrics> {
+        sink.finish()?;
+        metrics.late_drops = ops.iter().map(|c| chain_late_drops(c)).sum();
+        metrics.frontier_lag_max_us = metrics
+            .frontier_lag_max_us
+            .max(lr.ingest.progress.frontier_lag_us());
+        metrics.wall = lr.start.elapsed();
+        let gauges = Gauges {
+            frontier_lag_us: metrics.frontier_lag_max_us,
+            ..lr.gauges(metrics.records_in, metrics.records_out, 0, stalls)
+        };
+        lr.sampler
+            .force_sample(&gauges, &lr.chains, Some((&lr.trace, COORDINATOR_ORIGIN)));
+        self.report = lr.tel_on.then(|| {
+            build_report(
+                mode,
+                &metrics,
+                &lr.chains,
+                lr.sampler,
+                &lr.trace,
+                Vec::new(),
+                0,
+                lr.warnings,
+            )
+        });
+        Ok(metrics)
     }
 
     /// Runs a query to completion, synchronously, delivering results to
     /// `sink`. Consumes the registered source (only on a valid plan; a
     /// compile error leaves the source registered).
+    ///
+    /// The inline executor: each polled buffer goes straight through
+    /// the operator chain into `sink` on the caller thread.
     pub fn run(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        let (ts_col, ops, warnings) = self.prepare(query, analysis::Target::Local)?;
+        let warnings = self
+            .analyze_for(query, analysis::Target::Local)?
+            .into_accepted()?;
+        let schema = self.source(query.source())?.source.schema();
+        let ops = compile(query, schema, &self.registry)?.operators;
         let columnar = chain_wants_columnar(self.config.columnar, &ops);
-        let tel_on = self.config.telemetry.enabled;
-        let (mut ops, tel) = instrument_chain(ops, tel_on, 0);
-        let chains = [tel];
-        let trace = TraceRing::new(self.config.telemetry.max_events);
-        if tel_on {
-            trace.push(
-                COORDINATOR_ORIGIN,
-                TraceKind::QueryDeployed,
-                format!("synchronous run, {} operator(s)", ops.len()),
-            );
-        }
-        let mut sampler = TelemetrySampler::new(&self.config.telemetry);
-        let RegisteredSource {
-            mut source,
-            watermark,
-        } = self.take_source(query.source())?;
-        let schema = source.schema();
-
+        let (mut ops, tel) = instrument_chain(ops, self.config.telemetry.enabled, 0);
+        let deployed = format!("synchronous run, {} operator(s)", ops.len());
+        let mut lr = self.start_local(query, columnar, vec![tel], warnings, deployed)?;
         let mut metrics = QueryMetrics::default();
-        let start = Instant::now();
-        let mut max_ts: EventTime = EventTime::MIN;
-        let mut idle: u64 = 0;
-        let mut tracker = ProgressTracker::new();
-        tracker.register(LOCAL_ORIGIN);
-
         loop {
-            match source.poll(self.config.buffer_size)? {
-                SourceBatch::Data(recs) => {
-                    idle = 0;
-                    metrics.batches += 1;
-                    let (msg, punctuation) = make_data_message(
-                        &schema,
-                        recs,
-                        columnar,
-                        ts_col,
-                        LOCAL_ORIGIN,
-                        metrics.batches,
-                        &watermark,
-                        self.config.watermark_every,
-                        &mut max_ts,
-                    );
-                    metrics.records_in += msg.record_count() as u64;
-                    metrics.bytes_in += msg.data_bytes() as u64;
-                    let t0 = Instant::now();
-                    feed(&mut ops, msg, sink, &mut metrics)?;
-                    metrics.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                    // The buffer's punctuation stamp, not a global
-                    // clock, drives window progress: the tracker folds
-                    // it into the frontier delivered to the chain.
-                    tracker.observe(LOCAL_ORIGIN, metrics.batches, punctuation);
-                    if punctuation.is_some() {
-                        if let Some(w) = tracker.frontier() {
-                            metrics.watermarks += 1;
-                            feed(&mut ops, StreamMessage::Watermark(w), sink, &mut metrics)?;
-                        }
-                    }
-                    // Synchronous mode has no channels, so queue depth
-                    // and stalls are structurally zero.
-                    sampler.maybe_sample(
-                        &Gauges {
-                            records_in: metrics.records_in,
-                            records_out: metrics.records_out,
-                            queue_depth: 0,
-                            frontier: tracker.frontier(),
-                            frontier_lag_us: tracker.frontier_lag_us(),
-                            stalls: 0,
-                        },
-                        &chains,
-                        Some((&trace, COORDINATOR_ORIGIN)),
-                    );
-                }
-                SourceBatch::Idle => {
-                    idle += 1;
-                    if idle > self.config.idle_limit {
-                        break;
-                    }
-                }
-                SourceBatch::Exhausted => break,
+            let (msg, frontier) = match lr.ingest.poll()? {
+                Polled::Data(msg, frontier) => (msg, frontier),
+                Polled::Idle => continue,
+                Polled::End => break,
+            };
+            metrics.batches += 1;
+            metrics.records_in += msg.record_count() as u64;
+            metrics.bytes_in += msg.data_bytes() as u64;
+            let t0 = Instant::now();
+            feed(&mut ops, msg, sink, &mut metrics)?;
+            metrics.latency.record(t0.elapsed().as_secs_f64() * 1e6);
+            if let Some(w) = frontier {
+                metrics.watermarks += 1;
+                feed(&mut ops, StreamMessage::Watermark(w), sink, &mut metrics)?;
             }
+            // No queues: depth and stalls are structurally zero.
+            lr.sample(metrics.records_in, metrics.records_out, 0, 0);
         }
-        tracker.finish(LOCAL_ORIGIN);
         feed(&mut ops, StreamMessage::Eos, sink, &mut metrics)?;
-        sink.finish()?;
-        metrics.late_drops = chain_late_drops(&ops);
-        metrics.frontier_lag_max_us = tracker.frontier_lag_us();
-        metrics.wall = start.elapsed();
-        sampler.force_sample(
-            &Gauges {
-                records_in: metrics.records_in,
-                records_out: metrics.records_out,
-                queue_depth: 0,
-                frontier: tracker.frontier(),
-                frontier_lag_us: metrics.frontier_lag_max_us,
-                stalls: 0,
-            },
-            &chains,
-            Some((&trace, COORDINATOR_ORIGIN)),
-        );
-        self.report = tel_on.then(|| {
-            build_report(
-                "run",
-                &metrics,
-                &chains,
-                sampler,
-                &trace,
-                Vec::new(),
-                0,
-                warnings,
-            )
-        });
-        Ok(metrics)
+        self.finish_local(lr, "run", sink, metrics, std::slice::from_ref(&ops), 0)
     }
 
-    /// Runs a query with the source on its own thread, connected to the
-    /// operator chain by a bounded channel — pipeline parallelism.
+    /// Runs a query with the source and the operator chain on separate
+    /// threads — pipeline parallelism. This is the work-stealing pool of
+    /// [`Self::run_partitioned`] with exactly one partition: the caller
+    /// thread polls the source and queues buffers, one worker runs the
+    /// chain, and results reach `sink` in source order.
     pub fn run_threaded(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        let (ts_col, ops, warnings) = self.prepare(query, analysis::Target::Local)?;
-        let columnar = chain_wants_columnar(self.config.columnar, &ops);
-        let tel_on = self.config.telemetry.enabled;
-        let (mut ops, tel) = instrument_chain(ops, tel_on, 0);
-        let chains = [tel];
-        let trace = TraceRing::new(self.config.telemetry.max_events);
-        if tel_on {
-            trace.push(
-                COORDINATOR_ORIGIN,
-                TraceKind::QueryDeployed,
-                format!("pipeline-parallel run, {} operator(s)", ops.len()),
-            );
-        }
-        let mut sampler = TelemetrySampler::new(&self.config.telemetry);
-        let RegisteredSource {
-            mut source,
-            watermark,
-        } = self.take_source(query.source())?;
-        let schema = source.schema();
-
-        let (tx, rx) = crossbeam::channel::bounded::<Task>(self.config.channel_capacity);
-        let buffer_size = self.config.buffer_size;
-        let watermark_every = self.config.watermark_every;
-        let idle_limit = self.config.idle_limit;
-        // Depth mirrors the channel occupancy (the vendored channel has
-        // no len()); stalls count producer blocks on a full channel.
-        // The producer increments depth *before* sending, so the
-        // consumer's decrement after a receive can never underflow.
-        let depth = AtomicU64::new(0);
-        let stalls = AtomicU64::new(0);
-
-        let mut metrics = QueryMetrics::default();
-        let start = Instant::now();
-        let mut tracker = ProgressTracker::new();
-        tracker.register(LOCAL_ORIGIN);
-
-        let result: Result<()> = std::thread::scope(|scope| {
-            let (depth, stalls) = (&depth, &stalls);
-            // The producer only *stamps* punctuation (riding on the
-            // task, like BufferMeta on a columnar buffer); the
-            // consumer's tracker turns stamps into watermark feeds, so
-            // progress decisions live with the executor, not the
-            // transport.
-            let producer = scope.spawn(move || -> Result<()> {
-                // Try the non-blocking path first so a full channel is
-                // observable: each fallback to the blocking send counts
-                // one backpressure stall for the sampler.
-                let send_task = |task: Task| -> Result<()> {
-                    depth.fetch_add(1, Ordering::Relaxed);
-                    let task = match tx.try_send(task) {
-                        Ok(()) => return Ok(()),
-                        Err(crossbeam::channel::TrySendError::Full(t)) => {
-                            stalls.fetch_add(1, Ordering::Relaxed);
-                            t
-                        }
-                        Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            return Err(NebulaError::Eval("consumer hung up".into()));
-                        }
-                    };
-                    tx.send(task).map_err(|_| {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        NebulaError::Eval("consumer hung up".into())
-                    })
-                };
-                let mut max_ts: EventTime = EventTime::MIN;
-                let mut batches: u64 = 0;
-                let mut idle: u64 = 0;
-                loop {
-                    match source.poll(buffer_size)? {
-                        SourceBatch::Data(recs) => {
-                            idle = 0;
-                            batches += 1;
-                            let (msg, punctuation) = make_data_message(
-                                &schema,
-                                recs,
-                                columnar,
-                                ts_col,
-                                LOCAL_ORIGIN,
-                                batches,
-                                &watermark,
-                                watermark_every,
-                                &mut max_ts,
-                            );
-                            send_task(Task {
-                                msg,
-                                sequence: batches,
-                                punctuation,
-                            })?;
-                        }
-                        SourceBatch::Idle => {
-                            idle += 1;
-                            if idle > idle_limit {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        SourceBatch::Exhausted => break,
-                    }
-                }
-                send_task(Task {
-                    msg: StreamMessage::Eos,
-                    sequence: 0,
-                    punctuation: None,
-                })?;
-                Ok(())
-            });
-
-            for Task {
-                msg,
-                sequence,
-                punctuation,
-            } in rx.iter()
-            {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let is_eos = matches!(msg, StreamMessage::Eos);
-                if matches!(msg, StreamMessage::Data(_) | StreamMessage::Columnar(_)) {
-                    metrics.batches += 1;
-                    metrics.records_in += msg.record_count() as u64;
-                    metrics.bytes_in += msg.data_bytes() as u64;
-                }
-                feed(&mut ops, msg, sink, &mut metrics)?;
-                if is_eos {
-                    tracker.finish(LOCAL_ORIGIN);
-                    break;
-                }
-                tracker.observe(LOCAL_ORIGIN, sequence, punctuation);
-                if punctuation.is_some() {
-                    if let Some(w) = tracker.frontier() {
-                        metrics.watermarks += 1;
-                        feed(&mut ops, StreamMessage::Watermark(w), sink, &mut metrics)?;
-                    }
-                }
-                sampler.maybe_sample(
-                    &Gauges {
-                        records_in: metrics.records_in,
-                        records_out: metrics.records_out,
-                        queue_depth: depth.load(Ordering::Relaxed),
-                        frontier: tracker.frontier(),
-                        frontier_lag_us: tracker.frontier_lag_us(),
-                        stalls: stalls.load(Ordering::Relaxed),
-                    },
-                    &chains,
-                    Some((&trace, COORDINATOR_ORIGIN)),
-                );
-            }
-            producer
-                .join()
-                .map_err(|_| NebulaError::Eval("producer panicked".into()))??;
-            Ok(())
-        });
-        result?;
-        sink.finish()?;
-        metrics.late_drops = chain_late_drops(&ops);
-        metrics.frontier_lag_max_us = tracker.frontier_lag_us();
-        metrics.wall = start.elapsed();
-        sampler.force_sample(
-            &Gauges {
-                records_in: metrics.records_in,
-                records_out: metrics.records_out,
-                queue_depth: 0,
-                frontier: tracker.frontier(),
-                frontier_lag_us: metrics.frontier_lag_max_us,
-                stalls: stalls.load(Ordering::Relaxed),
-            },
-            &chains,
-            Some((&trace, COORDINATOR_ORIGIN)),
-        );
-        self.report = tel_on.then(|| {
-            build_report(
-                "run_threaded",
-                &metrics,
-                &chains,
-                sampler,
-                &trace,
-                Vec::new(),
-                0,
-                warnings,
-            )
-        });
-        Ok(metrics)
+        self.run_pool(query, sink, analysis::Target::Local)
     }
 
     /// Runs a query data-parallel across [`EnvConfig::parallelism`]
@@ -801,7 +765,8 @@ impl StreamEnvironment {
     /// [`Query::partition_scheme`]: hash of the grouping key (keyed
     /// windows / CEP), whole-buffer round-robin (stateless plans), or
     /// everything to partition 0 (keyless stateful plans, plugin
-    /// operators, or keys that don't bind against the source schema).
+    /// operators, keys that don't bind against the source schema, or a
+    /// parallelism of 1).
     /// Any idle worker may claim any partition with queued tasks, so
     /// tasks complete out of order and a skewed hot key no longer
     /// serializes the pool behind one slow worker.
@@ -818,27 +783,31 @@ impl StreamEnvironment {
     /// — including latency histograms and the frontier-lag high-water
     /// mark — merge into the returned report.
     pub fn run_partitioned(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        let warnings = self
-            .analyze_for(
-                query,
-                analysis::Target::Partitioned {
-                    parallelism: self.config.parallelism.max(1),
-                },
-            )?
-            .into_accepted()?;
-        let (schema, ts_col) = {
-            let src = self
-                .sources
-                .get(query.source())
-                .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
-            let schema = src.source.schema();
-            let ts_col = resolve_ts_col(&src.watermark, &schema)?;
-            (schema, ts_col)
+        let parallelism = self.config.parallelism.max(1);
+        self.run_pool(query, sink, analysis::Target::Partitioned { parallelism })
+    }
+
+    /// The work-stealing pool: [`Self::run_partitioned`], or
+    /// [`Self::run_threaded`] when `target` is
+    /// [`analysis::Target::Local`] (one partition).
+    fn run_pool(
+        &mut self,
+        query: &Query,
+        sink: &mut dyn Sink,
+        target: analysis::Target,
+    ) -> Result<QueryMetrics> {
+        let (mode, parallelism) = match target {
+            analysis::Target::Partitioned { parallelism } => ("run_partitioned", parallelism),
+            _ => ("run_threaded", 1),
         };
-        // Key expressions that don't bind against the source schema
-        // (e.g. keys over map-created columns) fall back to
-        // single-worker routing, which is always correct.
+        let warnings = self.analyze_for(query, target)?.into_accepted()?;
+        let schema = self.source(query.source())?.source.schema();
+        // One partition needs no routing. Key expressions that don't
+        // bind against the source schema (e.g. keys over map-created
+        // columns) fall back to single-partition routing, which is
+        // always correct.
         let route = match query.partition_scheme() {
+            _ if parallelism == 1 => Route::Single,
             PartitionScheme::Key(exprs) => exprs
                 .iter()
                 .map(|e| e.bind(&schema, &self.registry).map(|(b, _)| b))
@@ -847,60 +816,44 @@ impl StreamEnvironment {
             PartitionScheme::RoundRobin => Route::RoundRobin,
             PartitionScheme::Single => Route::Single,
         };
-        // Single-routed plans get exactly one worker: extra partitions
+        // Single-routed plans get exactly one partition: extra ones
         // would only relay watermarks and inflate the merged metrics.
-        let parallelism = match route {
+        let n = match route {
             Route::Single => 1,
-            _ => self.config.parallelism.max(1),
+            _ => parallelism,
         };
-        // Compile one chain per worker before taking the source, so a
-        // plan error leaves the source registered.
-        let mut chains = Vec::with_capacity(parallelism);
-        let mut output_schema = None;
-        for _ in 0..parallelism {
-            let plan = compile(query, schema.clone(), &self.registry)?;
-            output_schema = Some(plan.output_schema.clone());
-            chains.push(plan.operators);
+        // Compile one chain per partition before taking the source, so
+        // a plan error leaves the source registered.
+        let first = compile(query, schema.clone(), &self.registry)?;
+        let columnar = chain_wants_columnar(self.config.columnar, &first.operators);
+        let deployed = match mode {
+            "run_threaded" => format!(
+                "pipeline-parallel run, {} operator(s)",
+                first.operators.len()
+            ),
+            _ => format!("partitioned run, {n} partition(s)"),
+        };
+        let key_count = match &route {
+            Route::Key(exprs) => exprs.len(),
+            _ => 0,
+        };
+        let ledger = Mutex::new(EmissionLedger::new(first.output_schema, key_count));
+        let mut chains = vec![first.operators];
+        for _ in 1..n {
+            chains.push(compile(query, schema.clone(), &self.registry)?.operators);
         }
-        let output_schema = output_schema.expect("parallelism >= 1");
-        let columnar = chains
-            .first()
-            .is_some_and(|c| chain_wants_columnar(self.config.columnar, c));
-        let RegisteredSource {
-            mut source,
-            watermark,
-        } = self.take_source(query.source())?;
-
-        let buffer_size = self.config.buffer_size;
-        let watermark_every = self.config.watermark_every;
-        let idle_limit = self.config.idle_limit;
-        let channel_capacity = self.config.channel_capacity.max(1);
-
-        let start = Instant::now();
-        let n = parallelism;
-
-        let tel_on = self.config.telemetry.enabled;
-        let trace = TraceRing::new(self.config.telemetry.max_events);
-        if tel_on {
-            trace.push(
-                COORDINATOR_ORIGIN,
-                TraceKind::QueryDeployed,
-                format!("partitioned run, {n} partition(s)"),
-            );
-        }
-        let mut sampler = TelemetrySampler::new(&self.config.telemetry);
-
         // One slot per partition: a task queue plus the partition's
         // chain, separately locked so any worker can claim whichever
         // partition has work. Each partition's chain gets its own
         // instrumentation registry; the per-operator reports merge at
         // the end exactly like the partition QueryMetrics.
-        let mut part_tels: Vec<ChainTelemetry> = Vec::with_capacity(n);
+        let tel_on = self.config.telemetry.enabled;
+        let mut tels = Vec::with_capacity(n);
         let slots: Vec<PartitionSlot> = chains
             .into_iter()
             .map(|ops| {
                 let (ops, tel) = instrument_chain(ops, tel_on, 0);
-                part_tels.push(tel);
+                tels.push(tel);
                 PartitionSlot {
                     queue: Mutex::new(VecDeque::new()),
                     depth: AtomicUsize::new(0),
@@ -911,17 +864,12 @@ impl StreamEnvironment {
                 }
             })
             .collect();
-        let key_count = match &route {
-            Route::Key(exprs) => exprs.len(),
-            _ => 0,
-        };
-        let ledger = Mutex::new(EmissionLedger::new(output_schema, key_count));
+        let mut lr = self.start_local(query, columnar, tels, warnings, deployed)?;
+        let channel_capacity = self.config.channel_capacity.max(1);
         let finished = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let stalls = AtomicU64::new(0);
         let first_err: Mutex<Option<NebulaError>> = Mutex::new(None);
-        let mut tracker = ProgressTracker::new();
-        tracker.register(LOCAL_ORIGIN);
 
         let result: Result<()> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -949,171 +897,54 @@ impl StreamEnvironment {
                     }
                     std::thread::yield_now();
                 }
-                slots[p].queue.lock().push_back(PartTask { step, msg });
+                slots[p].queue.lock().push_back(Task { step, msg });
                 slots[p].depth.fetch_add(1, Ordering::AcqRel);
             };
 
-            let tracker = &mut tracker;
-            let sampler = &mut sampler;
             let route_result: Result<()> = (|| {
-                let mut max_ts: EventTime = EventTime::MIN;
-                let mut batches: u64 = 0;
-                let mut idle: u64 = 0;
                 let mut rr: usize = 0;
                 let mut routed_records: u64 = 0;
                 let mut released_records: u64 = 0;
-                loop {
-                    if abort.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match source.poll(buffer_size)? {
-                        SourceBatch::Data(recs) => {
-                            idle = 0;
-                            batches += 1;
-                            let (msg, punctuation) = make_data_message(
-                                &schema,
-                                recs,
-                                columnar,
-                                ts_col,
-                                LOCAL_ORIGIN,
-                                batches,
-                                &watermark,
-                                watermark_every,
-                                &mut max_ts,
-                            );
-                            routed_records += msg.record_count() as u64;
-                            // Shard the buffer to its owning partitions.
-                            // Whole-buffer transfer wherever possible:
-                            // the router stays O(1) per buffer, and a
-                            // single-owner step preserves source order
-                            // through the ledger untouched.
-                            let shards: Vec<(usize, StreamMessage)> = match msg {
-                                StreamMessage::Columnar(tb) => match &route {
-                                    Route::Single => vec![(0, StreamMessage::Columnar(tb))],
-                                    Route::RoundRobin => {
-                                        let w = rr % n;
-                                        rr += 1;
-                                        vec![(w, StreamMessage::Columnar(tb))]
-                                    }
-                                    Route::Key(exprs) => {
-                                        let assign = columnar_partition_of(exprs, &tb, n);
-                                        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-                                        for (row, &w) in assign.iter().enumerate() {
-                                            rows[w].push(row);
-                                        }
-                                        rows.iter()
-                                            .enumerate()
-                                            .filter(|(_, rows)| !rows.is_empty())
-                                            .map(|(w, rows)| {
-                                                let shard = if rows.len() == tb.len() {
-                                                    tb.clone()
-                                                } else {
-                                                    tb.gather(rows)
-                                                };
-                                                (w, StreamMessage::Columnar(shard))
-                                            })
-                                            .collect()
-                                    }
-                                },
-                                StreamMessage::Data(buf) => match &route {
-                                    Route::Single => vec![(0, StreamMessage::Data(buf))],
-                                    Route::RoundRobin => {
-                                        let w = rr % n;
-                                        rr += 1;
-                                        vec![(w, StreamMessage::Data(buf))]
-                                    }
-                                    Route::Key(exprs) => {
-                                        let mut shard_recs: Vec<Vec<Record>> = vec![Vec::new(); n];
-                                        for rec in buf.into_records() {
-                                            let w = match GroupKey::evaluate(exprs, &rec) {
-                                                Ok((key, _)) => {
-                                                    (fnv1a(key.bytes()) % n as u64) as usize
-                                                }
-                                                // A record whose key fails to
-                                                // evaluate has no group; route it
-                                                // to partition 0. If it survives
-                                                // the plan's filters the stateful
-                                                // operator raises the same error
-                                                // `run` would; if it is filtered
-                                                // out, placement never mattered.
-                                                Err(_) => 0,
-                                            };
-                                            shard_recs[w].push(rec);
-                                        }
-                                        shard_recs
-                                            .into_iter()
-                                            .enumerate()
-                                            .filter(|(_, recs)| !recs.is_empty())
-                                            .map(|(w, recs)| {
-                                                (
-                                                    w,
-                                                    StreamMessage::Data(RecordBuffer::new(
-                                                        schema.clone(),
-                                                        recs,
-                                                    )),
-                                                )
-                                            })
-                                            .collect()
-                                    }
-                                },
-                                _ => unreachable!("make_data_message returns data"),
-                            };
-                            if !shards.is_empty() {
-                                let step = ledger.lock().open(shards.len(), None);
-                                for (w, m) in shards {
-                                    push_task(w, step, m);
-                                }
-                            }
-                            // Punctuation rides the buffer stamp; the
-                            // tracker turns it into a frontier step
-                            // owned by every partition, so each chain's
-                            // clock advances exactly as in `run`.
-                            tracker.observe(LOCAL_ORIGIN, batches, punctuation);
-                            if punctuation.is_some() {
-                                if let Some(w) = tracker.frontier() {
-                                    let step = ledger.lock().open(n, Some(w));
-                                    for p in 0..n {
-                                        push_task(p, step, StreamMessage::Watermark(w));
-                                    }
-                                }
-                            }
-                            // Stream out whatever the frontier has
-                            // already released.
-                            let released = { ledger.lock().take_released() };
-                            for b in released {
-                                released_records += b.len() as u64;
-                                sink.consume(&b)?;
-                            }
-                            // The router samples: records routed in,
-                            // records released out, total queued tasks
-                            // across the pool — the registries are
-                            // atomic, so reading them races nothing.
-                            let queue_depth: u64 = slots
-                                .iter()
-                                .map(|s| s.depth.load(Ordering::Acquire) as u64)
-                                .sum();
-                            sampler.maybe_sample(
-                                &Gauges {
-                                    records_in: routed_records,
-                                    records_out: released_records,
-                                    queue_depth,
-                                    frontier: tracker.frontier(),
-                                    frontier_lag_us: tracker.frontier_lag_us(),
-                                    stalls: stalls.load(Ordering::Relaxed),
-                                },
-                                &part_tels,
-                                Some((&trace, COORDINATOR_ORIGIN)),
-                            );
+                while !abort.load(Ordering::Acquire) {
+                    let (msg, frontier) = match lr.ingest.poll()? {
+                        Polled::Data(msg, frontier) => (msg, frontier),
+                        Polled::Idle => continue,
+                        Polled::End => break,
+                    };
+                    routed_records += msg.record_count() as u64;
+                    let shards = route.shard(msg, n, &mut rr);
+                    if !shards.is_empty() {
+                        let step = ledger.lock().open(shards.len(), None);
+                        for (w, m) in shards {
+                            push_task(w, step, m);
                         }
-                        SourceBatch::Idle => {
-                            idle += 1;
-                            if idle > idle_limit {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        SourceBatch::Exhausted => break,
                     }
+                    // The frontier a punctuated buffer advanced becomes
+                    // a step owned by every partition, so each chain's
+                    // clock advances exactly as in `run`.
+                    if let Some(w) = frontier {
+                        let step = ledger.lock().open(n, Some(w));
+                        for p in 0..n {
+                            push_task(p, step, StreamMessage::Watermark(w));
+                        }
+                    }
+                    // Stream out whatever the frontier has already
+                    // released.
+                    let released = { ledger.lock().take_released() };
+                    for b in released {
+                        released_records += b.len() as u64;
+                        sink.consume(&b)?;
+                    }
+                    // The router samples: records routed in, records
+                    // released out, total queued tasks across the pool
+                    // — the registries are atomic, so reading them
+                    // races nothing.
+                    let queue_depth: u64 = slots
+                        .iter()
+                        .map(|s| s.depth.load(Ordering::Acquire) as u64)
+                        .sum();
+                    let stalls = stalls.load(Ordering::Relaxed);
+                    lr.sample(routed_records, released_records, queue_depth, stalls);
                 }
                 if !abort.load(Ordering::Acquire) {
                     let step = ledger.lock().open(n, None);
@@ -1121,7 +952,6 @@ impl StreamEnvironment {
                         push_task(p, step, StreamMessage::Eos);
                     }
                 }
-                tracker.finish(LOCAL_ORIGIN);
                 Ok(())
             })();
 
@@ -1152,65 +982,132 @@ impl StreamEnvironment {
             sink.consume(&b)?;
         }
         debug_assert!(ledger.steps.is_empty(), "all steps released");
-        sink.finish()?;
-
         let mut merged = QueryMetrics::default();
+        let mut ops = Vec::with_capacity(n);
         for slot in slots {
-            merged.merge(&slot.exec.into_inner().metrics);
+            let exec = slot.exec.into_inner();
+            merged.merge(&exec.metrics);
+            ops.push(exec.ops);
         }
-        merged.frontier_lag_max_us = merged.frontier_lag_max_us.max(ledger.lag_max_us);
-        merged.wall = start.elapsed();
-        sampler.force_sample(
-            &Gauges {
-                records_in: merged.records_in,
-                records_out: merged.records_out,
-                queue_depth: 0,
-                frontier: tracker.frontier(),
-                frontier_lag_us: merged.frontier_lag_max_us,
-                stalls: stalls.load(Ordering::Relaxed),
-            },
-            &part_tels,
-            Some((&trace, COORDINATOR_ORIGIN)),
-        );
-        self.report = tel_on.then(|| {
-            build_report(
-                "run_partitioned",
-                &merged,
-                &part_tels,
-                sampler,
-                &trace,
-                Vec::new(),
-                0,
-                warnings,
-            )
-        });
-        Ok(merged)
+        merged.frontier_lag_max_us = ledger.lag_max_us;
+        self.finish_local(lr, mode, sink, merged, &ops, stalls.into_inner())
     }
 }
 
-/// The bound routing decision for one partitioned run.
+/// One local run around its [`Ingest`]: the chains' telemetry, the
+/// trace ring, the sampler, the analyzer's warnings and the run clock
+/// — what `run` and the pool share.
+struct LocalRun {
+    ingest: Ingest,
+    chains: Vec<ChainTelemetry>,
+    sampler: TelemetrySampler,
+    trace: TraceRing,
+    warnings: Vec<Diagnostic>,
+    tel_on: bool,
+    start: Instant,
+}
+
+impl LocalRun {
+    fn gauges(&self, records_in: u64, records_out: u64, queue_depth: u64, stalls: u64) -> Gauges {
+        Gauges {
+            records_in,
+            records_out,
+            queue_depth,
+            frontier: self.ingest.progress.frontier(),
+            frontier_lag_us: self.ingest.progress.frontier_lag_us(),
+            stalls,
+        }
+    }
+
+    /// Takes a sample if the sampling interval elapsed.
+    fn sample(&mut self, records_in: u64, records_out: u64, queue_depth: u64, stalls: u64) {
+        let gauges = self.gauges(records_in, records_out, queue_depth, stalls);
+        self.sampler.maybe_sample(
+            &gauges,
+            &self.chains,
+            Some((&self.trace, COORDINATOR_ORIGIN)),
+        );
+    }
+}
+
+/// The bound routing decision for one pool run.
 enum Route {
     /// Hash-partition by these key expressions over source records.
     Key(Vec<BoundExpr>),
     /// Distribute buffers evenly (stateless plans).
     RoundRobin,
-    /// Everything to worker 0 (stateful keyless / opaque plans).
+    /// Everything to partition 0 (one partition, stateful keyless or
+    /// opaque plans).
     Single,
 }
 
-/// One punctuated transport unit between a source loop and an
-/// executor: the payload plus the origin-relative sequence and
-/// punctuation stamps that row messages cannot carry inline (columnar
-/// buffers also carry them in their [`crate::buffer::BufferMeta`]).
-struct Task {
-    msg: StreamMessage,
-    sequence: u64,
-    punctuation: Option<EventTime>,
+impl Route {
+    /// Shards one data buffer to its owning partitions among `n`.
+    /// Whole-buffer transfer wherever possible: the router stays O(1)
+    /// per buffer, and a single-owner step preserves source order
+    /// through the ledger untouched.
+    fn shard(&self, msg: StreamMessage, n: usize, rr: &mut usize) -> Vec<(usize, StreamMessage)> {
+        let exprs = match self {
+            Route::Single => return vec![(0, msg)],
+            Route::RoundRobin => {
+                let w = *rr % n;
+                *rr += 1;
+                return vec![(w, msg)];
+            }
+            Route::Key(exprs) => exprs,
+        };
+        match msg {
+            StreamMessage::Columnar(tb) => {
+                let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+                for (row, w) in columnar_partition_of(exprs, &tb, n).into_iter().enumerate() {
+                    rows[w].push(row);
+                }
+                rows.iter()
+                    .enumerate()
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .map(|(w, rows)| {
+                        let shard = if rows.len() == tb.len() {
+                            tb.clone()
+                        } else {
+                            tb.gather(rows)
+                        };
+                        (w, StreamMessage::Columnar(shard))
+                    })
+                    .collect()
+            }
+            StreamMessage::Data(buf) => {
+                let schema = buf.schema().clone();
+                let mut shard_recs: Vec<Vec<Record>> = vec![Vec::new(); n];
+                for rec in buf.into_records() {
+                    // A record whose key fails to evaluate has no group;
+                    // route it to partition 0. If it survives the plan's
+                    // filters the stateful operator raises the same
+                    // error `run` would; if it is filtered out,
+                    // placement never mattered.
+                    let w = GroupKey::evaluate(exprs, &rec)
+                        .map_or(0, |(key, _)| (fnv1a(key.bytes()) % n as u64) as usize);
+                    shard_recs[w].push(rec);
+                }
+                shard_recs
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, recs)| !recs.is_empty())
+                    .map(|(w, recs)| {
+                        (
+                            w,
+                            StreamMessage::Data(RecordBuffer::new(schema.clone(), recs)),
+                        )
+                    })
+                    .collect()
+            }
+            control => vec![(0, control)],
+        }
+    }
 }
 
 /// A unit of work queued to one partition of the work-stealing pool:
 /// the payload plus the emission-ledger step that orders its output.
-struct PartTask {
+struct Task {
     step: u64,
     msg: StreamMessage,
 }
@@ -1229,7 +1126,7 @@ struct PartitionExec {
 /// keeps per-key state and watermark application sequential even
 /// though *which* worker runs the partition changes from task to task.
 struct PartitionSlot {
-    queue: Mutex<VecDeque<PartTask>>,
+    queue: Mutex<VecDeque<Task>>,
     /// Queue-depth mirror readable without the lock (router
     /// backpressure and fast skip during work stealing).
     depth: AtomicUsize,
@@ -1256,7 +1153,7 @@ struct PartitionSlot {
 /// stateless plans. Either way the released stream is identical
 /// across parallelism degrees — and identical to `run`'s.
 struct EmissionLedger {
-    schema: crate::schema::SchemaRef,
+    schema: SchemaRef,
     /// Leading key-column count of keyed-window output rows — the
     /// emission comparator reads the window-start timestamp right
     /// after them (0 for unkeyed plans).
@@ -1281,7 +1178,7 @@ struct LedgerStep {
 }
 
 impl EmissionLedger {
-    fn new(schema: crate::schema::SchemaRef, key_count: usize) -> Self {
+    fn new(schema: SchemaRef, key_count: usize) -> Self {
         EmissionLedger {
             schema,
             key_count,
@@ -1437,10 +1334,10 @@ fn partition_worker(
 /// partition's end-of-stream.
 fn run_partition_task(
     exec: &mut PartitionExec,
-    task: PartTask,
+    task: Task,
     ledger: &Mutex<EmissionLedger>,
 ) -> Result<bool> {
-    let PartTask { step, msg } = task;
+    let Task { step, msg } = task;
     let is_eos = matches!(msg, StreamMessage::Eos);
     let is_data = matches!(msg, StreamMessage::Data(_) | StreamMessage::Columnar(_));
     match &msg {
@@ -1462,9 +1359,6 @@ fn run_partition_task(
         exec.metrics
             .latency
             .record(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    if is_eos {
-        exec.metrics.late_drops = chain_late_drops(&exec.ops);
     }
     ledger.lock().complete(step, local.into_buffers());
     Ok(is_eos)
@@ -1507,77 +1401,6 @@ pub(crate) fn chain_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]
             false
         }
     }
-}
-
-/// Converts one polled source batch into the runtime's data message —
-/// columnar when the batched path is on — updating the origin's
-/// event-time clock and stamping the buffer's punctuation header.
-///
-/// Returns the message plus the punctuation generated for this batch:
-/// every `watermark_every`-th sequence under
-/// [`WatermarkStrategy::BoundedOutOfOrder`] promises `max_ts - slack`.
-/// Columnar buffers carry origin/sequence/punctuation inline in their
-/// [`crate::buffer::BufferMeta`] (the NebulaStream TupleBuffer
-/// header); for row buffers the stamps ride the surrounding transport.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_data_message(
-    schema: &crate::schema::SchemaRef,
-    recs: Vec<Record>,
-    columnar: bool,
-    ts_col: Option<usize>,
-    origin: u64,
-    sequence: u64,
-    watermark: &WatermarkStrategy,
-    watermark_every: u64,
-    max_ts: &mut EventTime,
-) -> (StreamMessage, Option<EventTime>) {
-    let track_ts = matches!(watermark, WatermarkStrategy::BoundedOutOfOrder { .. });
-    let msg = if columnar {
-        let mut tb = TupleBuffer::from_records(
-            schema.clone(),
-            &recs,
-            crate::buffer::BufferMeta {
-                origin,
-                sequence,
-                ..crate::buffer::BufferMeta::default()
-            },
-        );
-        if let Some(col) = ts_col {
-            tb.recompute_time_bounds(col);
-            if track_ts {
-                if let Some(t) = tb.meta().max_ts {
-                    *max_ts = (*max_ts).max(t);
-                }
-            }
-        }
-        StreamMessage::Columnar(tb)
-    } else {
-        let buf = RecordBuffer::new(schema.clone(), recs);
-        if track_ts {
-            if let Some(col) = ts_col {
-                if let Some(t) = buf.max_event_time(col) {
-                    *max_ts = (*max_ts).max(t);
-                }
-            }
-        }
-        StreamMessage::Data(buf)
-    };
-    let punctuation = match watermark {
-        WatermarkStrategy::BoundedOutOfOrder { slack, .. }
-            if sequence.is_multiple_of(watermark_every) && *max_ts != EventTime::MIN =>
-        {
-            Some(*max_ts - *slack)
-        }
-        _ => None,
-    };
-    let msg = match msg {
-        StreamMessage::Columnar(mut tb) => {
-            tb.meta_mut().watermark = punctuation;
-            StreamMessage::Columnar(tb)
-        }
-        other => other,
-    };
-    (msg, punctuation)
 }
 
 /// Assigns each row of a columnar buffer to a partition by hashing its
@@ -1639,14 +1462,13 @@ pub(crate) fn resolve_ts_col(
     }
 }
 
-/// Pushes one message through the whole chain, delivering terminal data
-/// buffers to the sink.
-fn feed(
+/// Pushes one message through a (sub-)chain, returning the terminal
+/// messages in order: what reaches the sink, or crosses to the next
+/// cluster site.
+pub(crate) fn drive(
     ops: &mut [Box<dyn Operator>],
     first: StreamMessage,
-    sink: &mut dyn Sink,
-    metrics: &mut QueryMetrics,
-) -> Result<()> {
+) -> Result<Vec<StreamMessage>> {
     let mut cur = vec![first];
     let mut next: Vec<StreamMessage> = Vec::new();
     for op in ops.iter_mut() {
@@ -1660,18 +1482,23 @@ fn feed(
         }
         std::mem::swap(&mut cur, &mut next);
     }
-    for msg in cur.drain(..) {
+    Ok(cur)
+}
+
+/// Pushes one message through the whole chain, delivering terminal data
+/// buffers to the sink.
+fn feed(
+    ops: &mut [Box<dyn Operator>],
+    first: StreamMessage,
+    sink: &mut dyn Sink,
+    metrics: &mut QueryMetrics,
+) -> Result<()> {
+    for msg in drive(ops, first)? {
+        metrics.records_out += msg.record_count() as u64;
+        metrics.bytes_out += msg.data_bytes() as u64;
         match msg {
-            StreamMessage::Data(b) => {
-                metrics.records_out += b.len() as u64;
-                metrics.bytes_out += b.est_bytes() as u64;
-                sink.consume(&b)?;
-            }
-            StreamMessage::Columnar(b) => {
-                metrics.records_out += b.len() as u64;
-                metrics.bytes_out += b.est_bytes() as u64;
-                sink.consume_columnar(&b)?;
-            }
+            StreamMessage::Data(b) => sink.consume(&b)?,
+            StreamMessage::Columnar(b) => sink.consume_columnar(&b)?,
             StreamMessage::Watermark(_) | StreamMessage::Eos => {}
         }
     }

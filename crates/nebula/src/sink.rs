@@ -125,10 +125,11 @@ impl Sink for CountingSink {
     }
 }
 
-/// Collects result buffers wholesale — the per-worker sink behind
-/// partitioned execution. Each worker feeds its operator chain into its
-/// own `BufferSink`; after the workers join, the runtime merges the
-/// collected partitions with [`merge_partitions`].
+/// Collects result buffers wholesale — the per-task sink behind the
+/// work-stealing pool. A worker feeds each task through its
+/// partition's chain into a fresh `BufferSink` and hands the collected
+/// buffers to the emission ledger, which releases them in dispatch
+/// order.
 #[derive(Default)]
 pub struct BufferSink {
     buffers: Vec<RecordBuffer>,
@@ -154,6 +155,13 @@ impl BufferSink {
 impl Sink for BufferSink {
     fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
         self.buffers.push(buf.clone());
+        Ok(())
+    }
+
+    /// Keeps the materialized rows as they are: the default would copy
+    /// them a second time through [`Sink::consume`].
+    fn consume_columnar(&mut self, buf: &crate::buffer::TupleBuffer) -> Result<()> {
+        self.buffers.push(buf.to_record_buffer());
         Ok(())
     }
 }

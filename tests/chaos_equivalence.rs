@@ -119,21 +119,21 @@ fn chaos_run(
     (recs, report)
 }
 
-/// Both strategies, seeded lossy links, and (EdgeFirst) an abrupt
-/// mid-run kill of the edge box: all must match the sync reference,
-/// including the late-drop total.
+/// Both strategies, seeded lossy links, and an abrupt mid-run kill of
+/// the edge box: all must match the sync reference, including the
+/// late-drop total.
 fn assert_chaos_equivalent(name: &str, query: &Query, watermark: &WatermarkStrategy) {
     let (reference, ref_metrics) = sync_reference(query, watermark.clone());
     for seed in chaos_seeds() {
         for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-            let mut plan = lossy_plan(seed);
-            if strategy == PlacementStrategy::EdgeFirst {
-                // Kill the edge box mid-stream; recovery replays from
-                // the last checkpoint (or from scratch) and must be
-                // invisible in the output.
-                let (env, sensor) = fleet_env(watermark.clone());
-                plan = plan.crash_node(edge_node(&env, sensor), 12);
-            }
+            // Kill the edge box mid-stream; recovery replays from the
+            // last checkpoint (or from scratch) and must be invisible in
+            // the output. Under CloudOnly the edge hosts no operator, only
+            // a pass-through hop, so the crash severs the route; it also
+            // guarantees the leg a fault when its few transmissions draw
+            // no link fault.
+            let (env, sensor) = fleet_env(watermark.clone());
+            let plan = lossy_plan(seed).crash_node(edge_node(&env, sensor), 12);
             let (got, report) = chaos_run(query, strategy, watermark.clone(), &plan);
             assert_eq!(
                 got, reference,

@@ -14,6 +14,7 @@
 //! moves a fraction of the uplink bytes of cloud-only placement.
 
 use nebula::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn schema() -> SchemaRef {
@@ -999,6 +1000,70 @@ fn sliding_uplink_does_not_scale_with_overlap() {
          shipping), got {overlap4} vs {tumbling} (ratio {ratio:.2}; \
          per-window shipping would be ~4x)"
     );
+}
+
+/// A source that never produces: every poll is idle.
+struct IdleSource {
+    polls: Arc<AtomicU64>,
+}
+
+impl Source for IdleSource {
+    fn schema(&self) -> SchemaRef {
+        schema()
+    }
+
+    fn poll(&mut self, _max: usize) -> Result<SourceBatch> {
+        self.polls.fetch_add(1, Ordering::Relaxed);
+        Ok(SourceBatch::Idle)
+    }
+}
+
+#[test]
+fn idle_limit_ends_every_mode() {
+    // A source that only ever idles ends every mode after `idle_limit`
+    // consecutive idle polls (the next one gives up), having ingested
+    // and emitted nothing.
+    const IDLE_LIMIT: u64 = 50;
+    let q = Query::from("s").filter(col("speed").ge(lit(0.0)));
+    for mode in ["run", "run_threaded", "run_partitioned", "run_placed"] {
+        let polls = Arc::new(AtomicU64::new(0));
+        let source = Box::new(IdleSource {
+            polls: Arc::clone(&polls),
+        });
+        let (mut sink, got) = CollectingSink::new();
+        let metrics = if mode == "run_placed" {
+            let (topo, sensors) = Topology::train_fleet(1);
+            let config = ClusterConfig {
+                idle_limit: IDLE_LIMIT,
+                ..ClusterConfig::default()
+            };
+            let mut env = ClusterEnvironment::with_config(topo, config);
+            env.add_source("s", sensors[0], source, WatermarkStrategy::None);
+            env.run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
+                .map(|r| r.metrics)
+        } else {
+            let mut env = StreamEnvironment::with_config(EnvConfig {
+                idle_limit: IDLE_LIMIT,
+                parallelism: 2,
+                ..EnvConfig::default()
+            });
+            env.add_source("s", source, WatermarkStrategy::None);
+            match mode {
+                "run" => env.run(&q, &mut sink),
+                "run_threaded" => env.run_threaded(&q, &mut sink),
+                _ => env.run_partitioned(&q, &mut sink),
+            }
+        }
+        .unwrap_or_else(|e| panic!("{mode} on an idle source failed: {e}"));
+        assert_eq!(metrics.records_in, 0, "{mode}: records_in");
+        assert_eq!(metrics.records_out, 0, "{mode}: records_out");
+        assert!(got.is_empty(), "{mode}: no output");
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            IDLE_LIMIT + 1,
+            "{mode}: the run ends on the first poll past the limit"
+        );
+    }
 }
 
 #[test]
