@@ -603,17 +603,24 @@ impl ClusterEnvironment {
                 .collect(),
             uplink: LinkAccount::default(),
         });
-        let cloud_state = CloudState {
-            ops: cloud_ops,
+        // The cloud's telemetry over the current chain registries: fresh
+        // at the start and again after a crash.
+        let tel_cfg = &self.config.telemetry;
+        let cloud_tel_of = |pipe_tels: &[ChainTelemetry], cloud_tel: &ChainTelemetry| {
+            CloudTel::new(
+                tel_cfg,
+                all_chains(pipe_tels, cloud_tel),
+                Arc::clone(&trace),
+            )
+        };
+        let fresh_cloud = |ops, tel| CloudState {
+            ops,
             buffers: Vec::new(),
             progress: ProgressTracker::with_origins(n_pipes as u64),
             latency: Histogram::new(),
-            tel: CloudTel::new(
-                &self.config.telemetry,
-                all_chains(&pipe_tels, &cloud_tel),
-                Arc::clone(&trace),
-            ),
+            tel,
         };
+        let cloud_state = fresh_cloud(cloud_ops, cloud_tel_of(&pipe_tels, &cloud_tel));
         let mut cluster = ClusterMetrics {
             preaggregated: split.is_some(),
             ..ClusterMetrics::default()
@@ -747,14 +754,7 @@ impl ClusterEnvironment {
                                     internal("usable epoch has an unsnapshotted site")
                                 })?);
                             }
-                            let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                            pipe.pump.ops = group0;
-                            pipe.sites = sites;
-                            pipe.pump.stats = pp.stats;
-                            pipe.pump.eos_sent = false;
-                            if !pipe.pump.ingest.rewind(pp.batches, pp.max_ts) {
-                                return Err(internal("chaos source lost its replay log"));
-                            }
+                            pipe.restart(flat, pp.stats, pp.batches, pp.max_ts)?;
                         }
                         // Restored operators are snapshots of the
                         // instrumented chain: they keep reporting into
@@ -771,11 +771,7 @@ impl ClusterEnvironment {
                             buffers: cloud_part.buffers,
                             progress: cloud_part.progress,
                             latency: cloud_part.latency,
-                            tel: CloudTel::new(
-                                &self.config.telemetry,
-                                all_chains(&pipe_tels, &cloud_tel),
-                                Arc::clone(&trace),
-                            ),
+                            tel: cloud_tel_of(&pipe_tels, &cloud_tel),
                         }
                     }
                     // Epoch-0 fallback: no usable checkpoint (some
@@ -796,7 +792,7 @@ impl ClusterEnvironment {
                         // replacing the registries discards the dead
                         // phase's counters, which the full replay
                         // re-derives from batch zero.
-                        let (mut fresh_cloud, fresh_cloud_tel) =
+                        let (mut cloud_ops, fresh_cloud_tel) =
                             instrument_chain(fresh.cloud_ops, tel_on, cloud_base);
                         cloud_tel = fresh_cloud_tel;
                         for (p, (pipe, chain)) in
@@ -805,27 +801,10 @@ impl ClusterEnvironment {
                             let (mut flat, tel) = instrument_chain(chain, tel_on, 0);
                             pipe_tels[p] = tel;
                             let tail = flat.split_off(pipe.assign.len().min(flat.len()));
-                            fresh_cloud.extend(tail);
-                            let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                            pipe.pump.ops = group0;
-                            pipe.sites = sites;
-                            pipe.pump.stats = QueryMetrics::default();
-                            pipe.pump.eos_sent = false;
-                            if !pipe.pump.ingest.rewind(0, EventTime::MIN) {
-                                return Err(internal("chaos source lost its replay log"));
-                            }
+                            cloud_ops.extend(tail);
+                            pipe.restart(flat, QueryMetrics::default(), 0, EventTime::MIN)?;
                         }
-                        CloudState {
-                            ops: fresh_cloud,
-                            buffers: Vec::new(),
-                            progress: ProgressTracker::with_origins(n_pipes as u64),
-                            latency: Histogram::new(),
-                            tel: CloudTel::new(
-                                &self.config.telemetry,
-                                all_chains(&pipe_tels, &cloud_tel),
-                                Arc::clone(&trace),
-                            ),
-                        }
+                        fresh_cloud(cloud_ops, cloud_tel_of(&pipe_tels, &cloud_tel))
                     }
                 };
                 cluster.recovery_ms = recovery_t0.elapsed().as_secs_f64() * 1e3;
@@ -1955,6 +1934,29 @@ struct PipelinePlan {
     assign: Vec<NodeId>,
     pump: PumpState,
     sites: Vec<(NodeId, Vec<Box<dyn Operator>>)>,
+}
+
+impl PipelinePlan {
+    /// Re-deploys the pipeline's operators `flat` over its (re-planned)
+    /// node assignment and rewinds its source to the cut after
+    /// `batches` data batches, with the pump's totals at that cut.
+    fn restart(
+        &mut self,
+        flat: Vec<Box<dyn Operator>>,
+        stats: QueryMetrics,
+        batches: u64,
+        max_ts: EventTime,
+    ) -> Result<()> {
+        let (group0, sites) = regroup(self.node, flat, &self.assign);
+        self.pump.ops = group0;
+        self.sites = sites;
+        self.pump.stats = stats;
+        self.pump.eos_sent = false;
+        if !self.pump.ingest.rewind(batches, max_ts) {
+            return Err(internal("chaos source lost its replay log"));
+        }
+        Ok(())
+    }
 }
 
 /// Chaos-mode context for one pump thread.

@@ -8,14 +8,17 @@
 //! re-orders buffered out-of-order arrivals, and acknowledges
 //! cumulatively on a small reverse channel. The sending side
 //! ([`ReliableTx`]) keeps a bounded in-flight window of unacknowledged
-//! envelopes and retransmits on NACK. When acks stop coming it does not
-//! guess: after a timeout (capped exponential backoff) it sends a probe,
-//! a heartbeat carrying its next sequence number, and the receiver
-//! answers with a NACK for the first envelope it misses (or a re-ack if
-//! it misses none). A slow receiver therefore never causes a
-//! retransmission, and the operator pipeline above sees exactly the
-//! frame sequence it would see on a perfect link, in order, exactly
-//! once.
+//! envelopes and retransmits on NACK. The receiver NACKs each gap once;
+//! when acks stop advancing the sender does not guess: it sends a
+//! probe, a heartbeat carrying its next sequence number, and the
+//! receiver answers with a NACK for the first envelope it misses (or a
+//! re-ack if it misses none). It probes while it keeps sending, after
+//! [`PROBE_AFTER_SENDS`] sends or [`BACKOFF_CAP`] without progress, and
+//! while it waits on a full window or a flush (capped exponential
+//! backoff). A slow receiver therefore never causes a retransmission, a
+//! lost retransmission is re-requested promptly, and the operator
+//! pipeline above sees exactly the frame sequence it would see on a
+//! perfect link, in order, exactly once.
 //!
 //! Heartbeats ([`ReliableTx::heartbeat`]) keep a quiet link observably
 //! alive; a receiver that sees nothing — not even heartbeats — for its
@@ -54,6 +57,12 @@ const MAX_TIMEOUT_ROUNDS: u32 = 2_000;
 const BACKOFF_START: Duration = Duration::from_micros(200);
 const BACKOFF_CAP: Duration = Duration::from_millis(4);
 
+/// Sends without the oldest unacked envelope being acked before a
+/// sender probes (well inside [`DEFAULT_WINDOW`], so a sender whose
+/// receiver only runs between its sends never fills the window over a
+/// lost retransmission).
+const PROBE_AFTER_SENDS: usize = DEFAULT_WINDOW / 4;
+
 fn link_down(link: &str) -> NebulaError {
     ClusterError::LinkDown { link: link.into() }.into()
 }
@@ -67,6 +76,10 @@ pub(crate) struct ReliableTx {
     /// Unacked envelopes: seq → (clean encoded envelope, record count).
     in_flight: BTreeMap<u64, (Vec<u8>, u64)>,
     window: usize,
+    /// Sends, and time, since the oldest unacked envelope was last
+    /// acked past or probed for.
+    stalled_sends: usize,
+    stalled_since: Instant,
     ack_rx: Receiver<AckMsg>,
     chaos: LinkChaos,
     stats: Arc<ChaosStats>,
@@ -84,6 +97,8 @@ impl ReliableTx {
             seq: 0,
             in_flight: BTreeMap::new(),
             window: DEFAULT_WINDOW,
+            stalled_sends: 0,
+            stalled_since: Instant::now(),
             ack_rx,
             chaos,
             stats,
@@ -91,14 +106,16 @@ impl ReliableTx {
     }
 
     /// Wraps `payload` in a sequenced, checksummed envelope and
-    /// transmits it through the chaos layer, blocking (and
-    /// retransmitting with backoff) while the in-flight window is full.
+    /// transmits it through the chaos layer, probing when acks have
+    /// stalled and blocking (probing with backoff) while the in-flight
+    /// window is full.
     pub fn send<F>(&mut self, payload: &[u8], records: u64, emit: &mut F) -> Result<()>
     where
         F: FnMut(Vec<u8>, u64) -> Result<()>,
     {
         self.drain_acks(emit)?;
-        self.wait_below_window(emit)?;
+        self.probe_if_stalled(emit)?;
+        self.wait_for_acks(emit, self.window - 1)?;
         let seq = self.seq;
         self.seq += 1;
         let env = encode_envelope(ENV_PAYLOAD, seq, payload);
@@ -136,23 +153,7 @@ impl ReliableTx {
         if let Some(held) = self.chaos.release() {
             emit(held, 0)?;
         }
-        let mut backoff = BACKOFF_START;
-        let mut rounds = 0u32;
-        while !self.in_flight.is_empty() {
-            match self.ack_rx.recv_timeout(backoff) {
-                Ok(msg) => self.on_ack(msg, emit)?,
-                Err(RecvTimeoutError::Timeout) => {
-                    rounds += 1;
-                    if rounds > MAX_TIMEOUT_ROUNDS {
-                        return Err(link_down(&self.label));
-                    }
-                    self.heartbeat(emit)?;
-                    backoff = (backoff * 2).min(BACKOFF_CAP);
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(link_down(&self.label)),
-            }
-        }
-        Ok(())
+        self.wait_for_acks(emit, 0)
     }
 
     /// Envelopes currently awaiting acknowledgement.
@@ -171,13 +172,42 @@ impl ReliableTx {
         Ok(())
     }
 
-    fn wait_below_window<F>(&mut self, emit: &mut F) -> Result<()>
+    /// Probes once the oldest unacked envelope has waited through
+    /// [`PROBE_AFTER_SENDS`] sends or for [`BACKOFF_CAP`]: the receiver
+    /// NACKs a gap only once, so a lost retransmission is requested
+    /// again only in answer to a probe.
+    fn probe_if_stalled<F>(&mut self, emit: &mut F) -> Result<()>
+    where
+        F: FnMut(Vec<u8>, u64) -> Result<()>,
+    {
+        if self.in_flight.is_empty() {
+            // The next envelope starts a fresh wait.
+            self.unstall();
+            return Ok(());
+        }
+        self.stalled_sends += 1;
+        if self.stalled_sends >= PROBE_AFTER_SENDS || self.stalled_since.elapsed() >= BACKOFF_CAP {
+            self.heartbeat(emit)?;
+            self.unstall();
+        }
+        Ok(())
+    }
+
+    fn unstall(&mut self) {
+        self.stalled_sends = 0;
+        self.stalled_since = Instant::now();
+    }
+
+    /// Blocks while more than `max` envelopes are unacked, probing with
+    /// capped backoff whenever acks time out, until the window drains
+    /// that far or the link is declared dead.
+    fn wait_for_acks<F>(&mut self, emit: &mut F, max: usize) -> Result<()>
     where
         F: FnMut(Vec<u8>, u64) -> Result<()>,
     {
         let mut backoff = BACKOFF_START;
         let mut rounds = 0u32;
-        while self.in_flight.len() >= self.window {
+        while self.in_flight.len() > max {
             match self.ack_rx.recv_timeout(backoff) {
                 Ok(msg) => self.on_ack(msg, emit)?,
                 Err(RecvTimeoutError::Timeout) => {
@@ -200,6 +230,13 @@ impl ReliableTx {
     {
         match msg {
             AckMsg::Ack(upto) => {
+                if self
+                    .in_flight
+                    .first_key_value()
+                    .is_some_and(|(&s, _)| s <= upto)
+                {
+                    self.unstall();
+                }
                 let keep = self.in_flight.split_off(&(upto + 1));
                 self.in_flight = keep;
             }
@@ -256,7 +293,7 @@ pub(crate) struct ReliableRx {
     /// The gap most recently NACKed: later out-of-order arrivals behind
     /// the same gap do not NACK it again (the sender retransmits once
     /// per NACK), and a lost retransmission is recovered by the
-    /// sender's probe.
+    /// sender's probe, which always draws a NACK.
     nacked: Option<u64>,
     buffered: BTreeMap<u64, Vec<u8>>,
     ack_tx: Sender<AckMsg>,
@@ -359,18 +396,23 @@ impl ReliableRx {
 
     /// Requests retransmission of the first missing sequence.
     fn nack(&mut self) {
-        self.nacked = Some(self.expected);
-        self.send_ctl(AckMsg::Nack(self.expected));
+        if self.send_ctl(AckMsg::Nack(self.expected)) {
+            self.nacked = Some(self.expected);
+        }
     }
 
-    fn send_ctl(&self, msg: AckMsg) {
-        // Acks are cumulative and nacks are re-issued on the next gap:
-        // a full reverse channel can safely drop either.
-        if self.ack_tx.try_send(msg).is_ok() {
+    /// Queues an ack or NACK; `false` if the reverse channel was full.
+    fn send_ctl(&self, msg: AckMsg) -> bool {
+        // Acks are cumulative, and a dropped NACK stays unrecorded, so
+        // the next out-of-order arrival or probe issues it again: a full
+        // reverse channel can safely drop either.
+        let queued = self.ack_tx.try_send(msg).is_ok();
+        if queued {
             self.stats
                 .ack_bytes
                 .fetch_add(ACK_WIRE_BYTES, atomic_relaxed());
         }
+        queued
     }
 }
 
@@ -380,16 +422,18 @@ mod tests {
     use crate::chaos::FaultPlan;
     use crate::wire::{crc32, ENVELOPE_OVERHEAD};
     use crossbeam::channel::bounded;
+    use std::collections::VecDeque;
     use std::sync::Arc;
 
     /// Drives `n` payloads through a chaos-lossy loopback link and
-    /// asserts exactly-once, in-order delivery. Single-threaded: every
-    /// transmission reaches the receiver at once, like a peer thread
-    /// that is always ready, so the sender's own ack timeouts, probes
-    /// and NACK-driven retransmissions recover every loss, during sends
-    /// as in the final flush.
+    /// asserts exactly-once, in-order delivery. Single-threaded, so the
+    /// flush is driven as explicit retransmission rounds interleaved
+    /// with receiver drains (a blocking [`ReliableTx::flush`] would
+    /// starve its own receiver here): each round probes, and the NACK
+    /// the probe draws triggers the retransmission.
     fn loopback(plan: &FaultPlan, n: u32) -> (Vec<Vec<u8>>, Arc<ChaosStats>) {
         use std::cell::RefCell;
+        use std::rc::Rc;
         let stats = Arc::new(ChaosStats::default());
         let (ack_tx, ack_rx) = bounded::<AckMsg>(4096);
         let mut tx = ReliableTx::new(
@@ -398,25 +442,47 @@ mod tests {
             LinkChaos::new(plan, 7),
             Arc::clone(&stats),
         );
-        let rx = RefCell::new(ReliableRx::new(ack_tx, Arc::clone(&stats)));
-        let delivered: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
-        let mut emit = |bytes: Vec<u8>, _records: u64| -> Result<()> {
-            let mut rx = rx.borrow_mut();
-            let mut delivered = delivered.borrow_mut();
+        let mut rx = ReliableRx::new(ack_tx, Arc::clone(&stats));
+        let wire: Rc<RefCell<VecDeque<Vec<u8>>>> = Rc::new(RefCell::new(VecDeque::new()));
+        let mut delivered: Vec<Vec<u8>> = Vec::new();
+
+        let w = Rc::clone(&wire);
+        let mut emit = move |bytes: Vec<u8>, _records: u64| -> Result<()> {
+            w.borrow_mut().push_back(bytes);
+            Ok(())
+        };
+
+        let pump_rx = |rx: &mut ReliableRx, delivered: &mut Vec<Vec<u8>>| loop {
+            let Some(bytes) = wire.borrow_mut().pop_front() else {
+                break;
+            };
             if let RxEvent::Payload(p) = rx.on_bytes(&bytes) {
                 delivered.push(p);
             }
             while let Some(p) = rx.next_buffered() {
                 delivered.push(p);
             }
-            Ok(())
         };
+
         for i in 0..n {
             tx.send(&i.to_le_bytes(), 1, &mut emit).unwrap();
+            pump_rx(&mut rx, &mut delivered);
         }
-        tx.flush(&mut emit).unwrap();
+        if let Some(held) = tx.chaos.release() {
+            emit(held, 0).unwrap();
+            pump_rx(&mut rx, &mut delivered);
+        }
+        for _ in 0..10_000 {
+            tx.drain_acks(&mut emit).unwrap();
+            pump_rx(&mut rx, &mut delivered);
+            if tx.in_flight() == 0 {
+                break;
+            }
+            tx.heartbeat(&mut emit).unwrap();
+            pump_rx(&mut rx, &mut delivered);
+        }
         assert_eq!(tx.in_flight(), 0, "window drained");
-        (delivered.into_inner(), stats)
+        (delivered, stats)
     }
 
     #[test]

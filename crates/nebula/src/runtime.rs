@@ -753,7 +753,7 @@ impl StreamEnvironment {
     /// thread polls the source and queues buffers, one worker runs the
     /// chain, and results reach `sink` in source order.
     pub fn run_threaded(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        self.run_pool(query, sink, analysis::Target::Local)
+        self.run_pool(query, sink, "run_threaded", analysis::Target::Local, 1)
     }
 
     /// Runs a query data-parallel across [`EnvConfig::parallelism`]
@@ -784,22 +784,21 @@ impl StreamEnvironment {
     /// mark — merge into the returned report.
     pub fn run_partitioned(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
         let parallelism = self.config.parallelism.max(1);
-        self.run_pool(query, sink, analysis::Target::Partitioned { parallelism })
+        let target = analysis::Target::Partitioned { parallelism };
+        self.run_pool(query, sink, "run_partitioned", target, parallelism)
     }
 
-    /// The work-stealing pool: [`Self::run_partitioned`], or
-    /// [`Self::run_threaded`] when `target` is
-    /// [`analysis::Target::Local`] (one partition).
+    /// The work-stealing pool behind [`Self::run_threaded`] (one
+    /// partition) and [`Self::run_partitioned`]: `mode` names the run in
+    /// its report, `target` is what the analyzer checks the plan for.
     fn run_pool(
         &mut self,
         query: &Query,
         sink: &mut dyn Sink,
+        mode: &'static str,
         target: analysis::Target,
+        parallelism: usize,
     ) -> Result<QueryMetrics> {
-        let (mode, parallelism) = match target {
-            analysis::Target::Partitioned { parallelism } => ("run_partitioned", parallelism),
-            _ => ("run_threaded", 1),
-        };
         let warnings = self.analyze_for(query, target)?.into_accepted()?;
         let schema = self.source(query.source())?.source.schema();
         // One partition needs no routing. Key expressions that don't
@@ -826,13 +825,10 @@ impl StreamEnvironment {
         // a plan error leaves the source registered.
         let first = compile(query, schema.clone(), &self.registry)?;
         let columnar = chain_wants_columnar(self.config.columnar, &first.operators);
-        let deployed = match mode {
-            "run_threaded" => format!(
-                "pipeline-parallel run, {} operator(s)",
-                first.operators.len()
-            ),
-            _ => format!("partitioned run, {n} partition(s)"),
-        };
+        let deployed = format!(
+            "{mode}, {n} partition(s), {} operator(s)",
+            first.operators.len()
+        );
         let key_count = match &route {
             Route::Key(exprs) => exprs.len(),
             _ => 0,
@@ -886,16 +882,15 @@ impl StreamEnvironment {
             // stealing the partition if its last executor is busy. Each
             // wait episode counts one backpressure stall.
             let push_task = |p: usize, step: u64, msg: StreamMessage| {
-                let mut stalled = false;
+                let mut spins = 0;
                 while slots[p].depth.load(Ordering::Acquire) >= channel_capacity {
-                    if !stalled {
-                        stalled = true;
+                    if spins == 0 {
                         stalls.fetch_add(1, Ordering::Relaxed);
                     }
                     if abort.load(Ordering::Acquire) {
                         return;
                     }
-                    std::thread::yield_now();
+                    back_off(&mut spins);
                 }
                 slots[p].queue.lock().push_back(Task { step, msg });
                 slots[p].depth.fetch_add(1, Ordering::AcqRel);
@@ -906,30 +901,33 @@ impl StreamEnvironment {
                 let mut routed_records: u64 = 0;
                 let mut released_records: u64 = 0;
                 while !abort.load(Ordering::Acquire) {
-                    let (msg, frontier) = match lr.ingest.poll()? {
-                        Polled::Data(msg, frontier) => (msg, frontier),
-                        Polled::Idle => continue,
+                    match lr.ingest.poll()? {
+                        Polled::Data(msg, frontier) => {
+                            routed_records += msg.record_count() as u64;
+                            let shards = route.shard(msg, n, &mut rr);
+                            if !shards.is_empty() {
+                                let step = ledger.lock().open(shards.len(), None);
+                                for (w, m) in shards {
+                                    push_task(w, step, m);
+                                }
+                            }
+                            // The frontier a punctuated buffer advanced
+                            // becomes a step owned by every partition, so
+                            // each chain's clock advances exactly as in
+                            // `run`.
+                            if let Some(w) = frontier {
+                                let step = ledger.lock().open(n, Some(w));
+                                for p in 0..n {
+                                    push_task(p, step, StreamMessage::Watermark(w));
+                                }
+                            }
+                        }
+                        Polled::Idle => {}
                         Polled::End => break,
-                    };
-                    routed_records += msg.record_count() as u64;
-                    let shards = route.shard(msg, n, &mut rr);
-                    if !shards.is_empty() {
-                        let step = ledger.lock().open(shards.len(), None);
-                        for (w, m) in shards {
-                            push_task(w, step, m);
-                        }
-                    }
-                    // The frontier a punctuated buffer advanced becomes
-                    // a step owned by every partition, so each chain's
-                    // clock advances exactly as in `run`.
-                    if let Some(w) = frontier {
-                        let step = ledger.lock().open(n, Some(w));
-                        for p in 0..n {
-                            push_task(p, step, StreamMessage::Watermark(w));
-                        }
                     }
                     // Stream out whatever the frontier has already
-                    // released.
+                    // released — while the source idles too, so a quiet
+                    // spell does not hold back the last buffer's results.
                     let released = { ledger.lock().take_released() };
                     for b in released {
                         released_records += b.len() as u64;
@@ -1317,15 +1315,20 @@ fn partition_worker(
         if progressed {
             spins = 0;
         } else {
-            // Idle: yield briefly, then back off to a short sleep so an
-            // empty pool doesn't burn the core the router needs.
-            spins += 1;
-            if spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
-            }
+            back_off(&mut spins);
         }
+    }
+}
+
+/// One wait in a pool spin loop (an idle worker, or the router at a
+/// full queue): yield briefly, then back off to a short sleep so the
+/// waiter doesn't burn a core the busy threads need.
+fn back_off(spins: &mut u32) {
+    *spins += 1;
+    if *spins < 64 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros(100));
     }
 }
 

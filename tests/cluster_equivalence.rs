@@ -14,7 +14,7 @@
 //! moves a fraction of the uplink bytes of cloud-only placement.
 
 use nebula::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn schema() -> SchemaRef {
@@ -1063,6 +1063,66 @@ fn idle_limit_ends_every_mode() {
             IDLE_LIMIT + 1,
             "{mode}: the run ends on the first poll past the limit"
         );
+    }
+}
+
+/// Yields its records in one buffer, then idles until output reaches
+/// the sink (and ends the stream), or until the idle limit ends the run.
+struct QuietSource {
+    records: Vec<Record>,
+    out: Collected,
+    delivered_while_idle: Arc<AtomicBool>,
+}
+
+impl Source for QuietSource {
+    fn schema(&self) -> SchemaRef {
+        schema()
+    }
+
+    fn poll(&mut self, _max: usize) -> Result<SourceBatch> {
+        if !self.records.is_empty() {
+            return Ok(SourceBatch::Data(std::mem::take(&mut self.records)));
+        }
+        if self.out.is_empty() {
+            return Ok(SourceBatch::Idle);
+        }
+        self.delivered_while_idle.store(true, Ordering::Relaxed);
+        Ok(SourceBatch::Exhausted)
+    }
+}
+
+#[test]
+fn idle_source_does_not_hold_back_output() {
+    // A stateless query's output for the last buffer before a quiet
+    // spell reaches the sink during the spell, not only when the next
+    // buffer arrives or the idle limit ends the run.
+    let q = Query::from("s").filter(col("speed").ge(lit(0.0)));
+    for mode in ["run", "run_threaded", "run_partitioned"] {
+        let delivered_while_idle = Arc::new(AtomicBool::new(false));
+        let (mut sink, got) = CollectingSink::new();
+        let source = Box::new(QuietSource {
+            records: records(),
+            out: got.clone(),
+            delivered_while_idle: Arc::clone(&delivered_while_idle),
+        });
+        let mut env = StreamEnvironment::with_config(EnvConfig {
+            buffer_size: 1024,
+            idle_limit: 200_000,
+            parallelism: 2,
+            ..EnvConfig::default()
+        });
+        env.add_source("s", source, WatermarkStrategy::None);
+        match mode {
+            "run" => env.run(&q, &mut sink),
+            "run_threaded" => env.run_threaded(&q, &mut sink),
+            _ => env.run_partitioned(&q, &mut sink),
+        }
+        .unwrap_or_else(|e| panic!("{mode}: {e}"));
+        assert!(
+            delivered_while_idle.load(Ordering::Relaxed),
+            "{mode}: output reached the sink only when the run ended"
+        );
+        assert_eq!(got.len(), records().len(), "{mode}: every record out");
     }
 }
 
